@@ -2,15 +2,14 @@
 // NameNode workload from T4 (namespace ops + metaprogrammed tracing with count rollups) is
 // replayed with individual optimizations disabled:
 //
-//   A. full engine            — incremental aggregates + version skip + index catch-up
+//   A. full engine            — incremental aggregates + version skip + dirty-rule sched
 //   B. no incremental aggs    — rollups recompute from scratch whenever inputs change
 //   C. no version skip        — every aggregate recomputes every tick, changed or not
-//   D. no index catch-up      — any table change rebuilds dependent indexes in full
 //   E. no dirty-rule sched    — fixpoint rounds scan every rule, changed driver or not
 //   F. cost-based optimizer   — A plus profile-guided re-planning (DESIGN.md §13); the
 //                               one config that adds a mechanism instead of removing one
 //
-// B through E each turn an O(delta) mechanism back into an O(state) (or O(rules)) one, so
+// B, C and E each turn an O(delta) mechanism back into an O(state) (or O(rules)) one, so
 // their cost grows with the run; the full engine's cost stays flat. This is the engineering
 // lesson the JOL lineage encodes: declarative runtimes need incremental view maintenance to
 // be viable.
@@ -31,10 +30,8 @@ namespace {
 
 constexpr int kOps = 1200;
 
-double RunConfig(bool incremental_aggs, bool version_skip, bool index_catchup,
-                 bool dirty_rules, size_t threads = 1, bool parallel_fixpoint = true,
-                 bool optimizer = false) {
-  Table::SetDisableIndexCatchupForBenchmarks(!index_catchup);
+double RunConfig(bool incremental_aggs, bool version_skip, bool dirty_rules,
+                 size_t threads = 1, bool parallel_fixpoint = true, bool optimizer = false) {
   EngineOptions opts;
   opts.address = "nn";
   opts.disable_incremental_aggregates = !incremental_aggs;
@@ -70,7 +67,6 @@ double RunConfig(bool incremental_aggs, bool version_skip, bool index_catchup,
   }
   auto end = std::chrono::steady_clock::now();
   BOOM_CHECK(engine.catalog().Get("file").size() == static_cast<size_t>(kOps) + 17);
-  Table::SetDisableIndexCatchupForBenchmarks(false);
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
@@ -89,7 +85,7 @@ int main(int argc, char** argv) {
   struct Config {
     const char* label;
     const char* key;  // JSON workload name
-    bool inc_agg, version_skip, index_catchup, dirty_rules;
+    bool inc_agg, version_skip, dirty_rules;
     size_t threads = 1;
     bool parallel_fixpoint = true;
     bool optimizer = false;
@@ -100,17 +96,14 @@ int main(int argc, char** argv) {
   // parallel evaluation on vs off. F is A plus the cost-based optimizer — the one config
   // that ADDS a mechanism instead of removing one.
   const Config configs[] = {
-      {"A. full engine", "full_engine", true, true, true, true},
-      {"B. no incremental aggregates", "no_incremental_aggregates", false, true, true, true},
-      {"C. no aggregate version-skip", "no_aggregate_version_skip", false, false, true, true},
-      {"D. no index catch-up", "no_index_catchup", true, true, false, true},
-      {"E. no dirty-rule scheduling", "no_dirty_rule_scheduling", true, true, true, false},
-      {"F. cost-based optimizer on", "cost_based_optimizer", true, true, true, true, 1, true,
-       true},
-      {"G. parallel fixpoint (4 threads)", "parallel_fixpoint_4t", true, true, true, true, 4,
-       true},
-      {"H. 4 threads, parallel eval off", "no_parallel_fixpoint_4t", true, true, true, true,
-       4, false},
+      {"A. full engine", "full_engine", true, true, true},
+      {"B. no incremental aggregates", "no_incremental_aggregates", false, true, true},
+      {"C. no aggregate version-skip", "no_aggregate_version_skip", false, false, true},
+      {"E. no dirty-rule scheduling", "no_dirty_rule_scheduling", true, true, false},
+      {"F. cost-based optimizer on", "cost_based_optimizer", true, true, true, 1, true, true},
+      {"G. parallel fixpoint (4 threads)", "parallel_fixpoint_4t", true, true, true, 4, true},
+      {"H. 4 threads, parallel eval off", "no_parallel_fixpoint_4t", true, true, true, 4,
+       false},
   };
 
   if (!json) {
@@ -122,16 +115,15 @@ int main(int argc, char** argv) {
   }
   // Warm the allocator and string interner so the first measured config is not penalized
   // relative to later ones; each config then takes the best of three runs.
-  RunConfig(true, true, true, true);
+  RunConfig(true, true, true);
   constexpr int kReps = 3;
   double base = 0;
   bool first = true;
   for (const Config& config : configs) {
     double ms = 0;
     for (int rep = 0; rep < kReps; ++rep) {
-      double run_ms = RunConfig(config.inc_agg, config.version_skip, config.index_catchup,
-                                config.dirty_rules, config.threads,
-                                config.parallel_fixpoint, config.optimizer);
+      double run_ms = RunConfig(config.inc_agg, config.version_skip, config.dirty_rules,
+                                config.threads, config.parallel_fixpoint, config.optimizer);
       if (rep == 0 || run_ms < ms) {
         ms = run_ms;
       }

@@ -372,6 +372,33 @@ WorkloadResult RunNamespaceOp() {
   });
 }
 
+// churn_probe: a keyed 10k-row table with a warm secondary index takes replace churn,
+// probing between mutations. Each replace moves one row between index buckets in place, so
+// the cost per op must not grow with the table size.
+WorkloadResult RunChurnProbe() {
+  constexpr int64_t kRows = 10000;
+  constexpr int kChurn = 2000;
+  return BestOf([] {
+    TableDef def;
+    def.name = "t";
+    def.columns = {"K", "V"};
+    def.key_columns = {0};
+    Table table(def);
+    for (int64_t i = 0; i < kRows; ++i) {
+      table.Insert(Tuple{Value(i), Value(i % 977)});
+    }
+    const std::vector<size_t> by_value = {1};
+    BOOM_CHECK(!table.Probe(by_value, Tuple{Value(int64_t{13})}).empty());  // warm index
+    auto t0 = BenchClock::now();
+    for (int c = 0; c < kChurn; ++c) {
+      int64_t k = (c * 37) % kRows;
+      table.Insert(Tuple{Value(k), Value((k + c) % 977)});  // replace
+      benchmark::DoNotOptimize(table.Probe(by_value, Tuple{Value((k + c) % 977)}));
+    }
+    return FromTotal(ElapsedNs(t0), kChurn);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // --json --threads N: parallel scaling workloads
 // ---------------------------------------------------------------------------
@@ -497,8 +524,8 @@ WorkloadResult RunScalingChurnHeavy(size_t threads) {
 // Each workload runs twice — EngineOptions::enable_optimizer false then true — and the
 // pair lands in BENCH_engine.json as {off_ns_per_op, on_ns_per_op, speedup}. The fixpoints
 // are identical either way (enforced by the `optimizer` ctest label); only the plans and
-// the index-maintenance strategy differ. check_bench.py gates both sides, so a regression
-// on the greedy baseline cannot hide behind an optimizer win (or vice versa).
+// index warming differ. check_bench.py gates both sides, so a regression on the greedy
+// baseline cannot hide behind an optimizer win (or vice versa).
 
 struct AblationResult {
   WorkloadResult off;
@@ -558,12 +585,10 @@ WorkloadResult RunOptimizerJoinHeavy(bool optimize) {
 }
 
 // namespace_op: BOOM-FS NameNode metadata churn over a populated namespace — rm, re-create,
-// and ls against a directory holding kFiles entries. The win here is the index-maintenance
-// strategy the optimizer enables: `rm1` probes file(_, Par, _, _) and `ls2` fans out over the
-// same by-parent secondary index, while `rm2`'s delete invalidates it. Without incremental
-// maintenance every rm forces the next probe to rebuild the whole index (O(namespace)); with
-// it, the erase patches the affected bucket and probes stay O(1). The gap therefore scales
-// with namespace size, which is exactly the behaviour a metadata server cares about.
+// and ls against a directory holding kFiles entries. `rm1` probes file(_, Par, _, _) and
+// `ls2` fans out over the same by-parent secondary index, which `rm2`'s delete patches in
+// place on both sides of the pair; the pair isolates what cost-based planning adds on a
+// churny metadata workload.
 WorkloadResult RunOptimizerNamespaceOp(bool optimize) {
   constexpr int kFiles = 1000;   // namespace size; also pushes both drift re-plans into warm-up
   constexpr int kWarmRounds = 40;
@@ -607,36 +632,6 @@ WorkloadResult RunOptimizerNamespaceOp(bool optimize) {
   });
 }
 
-// churn_probe: the satellite fix in isolation. A keyed 10k-row table with a warm secondary
-// index takes alternating replace / erase+reinsert churn, probing between mutations. The
-// legacy path bumps mutation_epoch_ on every replace, so each probe pays a full O(table)
-// index rebuild; incremental maintenance (what the engine enables with the optimizer)
-// patches the affected buckets and the probe is O(1).
-WorkloadResult RunOptimizerChurnProbe(bool incremental) {
-  constexpr int64_t kRows = 10000;
-  constexpr int kChurn = 2000;
-  return BestOf([incremental] {
-    TableDef def;
-    def.name = "t";
-    def.columns = {"K", "V"};
-    def.key_columns = {0};
-    Table table(def);
-    table.set_incremental_index_maintenance(incremental);
-    for (int64_t i = 0; i < kRows; ++i) {
-      table.Insert(Tuple{Value(i), Value(i % 977)});
-    }
-    const std::vector<size_t> by_value = {1};
-    BOOM_CHECK(!table.Probe(by_value, Tuple{Value(int64_t{13})}).empty());  // warm index
-    auto t0 = BenchClock::now();
-    for (int c = 0; c < kChurn; ++c) {
-      int64_t k = (c * 37) % kRows;
-      table.Insert(Tuple{Value(k), Value((k + c) % 977)});  // replace
-      benchmark::DoNotOptimize(table.Probe(by_value, Tuple{Value((k + c) % 977)}));
-    }
-    return FromTotal(ElapsedNs(t0), kChurn);
-  });
-}
-
 int JsonOptimizerMain() {
   struct Entry {
     const char* name;
@@ -645,7 +640,6 @@ int JsonOptimizerMain() {
   const Entry entries[] = {
       {"join_heavy", RunOptimizerJoinHeavy},
       {"namespace_op", RunOptimizerNamespaceOp},
-      {"churn_probe", RunOptimizerChurnProbe},
   };
   std::printf("{\n  \"bench\": \"micro_engine\",\n  \"optimizer\": true,\n"
               "  \"workloads\": {\n");
@@ -709,6 +703,7 @@ int JsonMain() {
       {"join_heavy", RunJoinHeavy},
       {"churn_heavy", RunChurnHeavy},
       {"namespace_op", RunNamespaceOp},
+      {"churn_probe", RunChurnProbe},
   };
   std::printf("{\n  \"bench\": \"micro_engine\",\n  \"workloads\": {\n");
   bool first = true;

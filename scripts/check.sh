@@ -24,7 +24,8 @@
 # (tuple refcounts, interner shards, worker evaluators, cluster tick batches) raced under
 # the sanitizer.
 # Bench smoke: Release build of micro_engine, gated against the committed BENCH_engine.json
-# (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py).
+# (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py), then the
+# system benchmark's smoke run (bench/system: oracle or determinism-guard failures fail).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,6 +130,13 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
       --fresh-scaling "$fresh_scaling" --fresh-optimizer "$fresh_optimizer"
   fi
   rm -f "$fresh" "$fresh_scaling" "$fresh_optimizer"
+
+  # System benchmark smoke: all four end-to-end workloads at 2% size, Release build. A
+  # correctness-oracle failure, a failed op, or a determinism-guard mismatch (counters or
+  # op/listing digest differing between the plain and the traced rep) fails the run;
+  # wall times are not gated here.
+  echo "==> Release system bench smoke (bench/system/run.py --smoke)"
+  python3 bench/system/run.py --smoke
 fi
 
 echo "==> all checks passed"

@@ -3,14 +3,20 @@
 
 Compares a fresh `micro_engine --json` run against the committed BENCH_engine.json:
 
-  * every workload key tracked in the committed "current" section must be present in the
-    fresh run (a missing key means a workload was dropped or renamed without refreshing
-    the tracked file — fail);
+  * the committed "current.micro_engine" section and the fresh run must track the same
+    workload keys (a missing or extra key means a workload was dropped, renamed, or added
+    without refreshing the tracked file — fail);
   * each fresh ns_per_op must be within --tolerance (default 25%) of the committed number.
 
 Only micro_engine is regression-gated: the ablation configurations deliberately disable
 engine mechanisms, so their absolute numbers are informational. The committed file must
-still carry both sections with the expected schema.
+still carry every section with the expected schema:
+
+  current.micro_engine     {name: {ns_per_op, tuples_per_sec}}  engine rows, churn_probe
+                           included
+  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E-H
+  current.optimizer        {name: {off_ns_per_op, on_ns_per_op, speedup}}  planner pairs
+                           (enable_optimizer off/on; join_heavy, namespace_op)
 
 With --fresh-scaling (a fresh `micro_engine --json --threads 1` run), the threads=1 row
 of the committed "parallel_scaling" block is gated the same way. Only threads=1 is ever
@@ -70,6 +76,8 @@ def main():
     committed_micro = current.get("micro_engine", {})
     fresh_micro = fresh.get("workloads", {})
 
+    for name in sorted(set(fresh_micro) - set(committed_micro)):
+        errors += fail(f"workload '{name}' in fresh run but not in the committed file")
     for name, entry in sorted(committed_micro.items()):
         if name not in fresh_micro:
             errors += fail(f"workload '{name}' missing from fresh run")

@@ -69,9 +69,7 @@ extern table invariant_violation(Name, Detail);
 table perf_table(Name, Rows, Probes, IndexHits, Rebuilds) keys(0);
 
 // Joins the per-table stats the engine publishes via PublishProfile(): no table may have
-// rebuilt its secondary indexes more than rebuild_cap times (churned tables probed through
-// cached indexes that replace/erase keep invalidating; see the cost-based optimizer's
-// incremental index maintenance).
+// rebuilt its secondary indexes more than rebuild_cap times.
 ic1 invariant_violation("index_churn", D) :- perf_table(T, _, _, _, R), R > rebuild_cap,
                                              D := str_cat(T, " rebuilt indexes ", R,
                                                           " times");

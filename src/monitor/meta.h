@@ -64,11 +64,10 @@ const Module& RuleHogInvariantsModule();
 Program RuleHogInvariantProgram(int64_t max_tuples_per_fixpoint);
 
 // Invariant over the published per-table stats: no table may suffer more than
-// `max_index_rebuilds` full secondary-index rebuilds (typed parameter rebuild_cap). A hot
-// rebuild count means a churned table is probed through cached indexes that replace/erase
-// keep invalidating — the fix is the optimizer's incremental index maintenance, or a
-// declared key matching the probe. Fires once Engine::PublishProfile() lands perf_table
-// rows.
+// `max_index_rebuilds` full secondary-index rebuilds (typed parameter rebuild_cap). The
+// engine updates its indexes in place and publishes 0 rebuilds, so a violation means a
+// perf_table row reports index churn the engine no longer has. Fires once
+// Engine::PublishProfile() lands perf_table rows.
 const Module& IndexChurnInvariantsModule();
 Program IndexChurnInvariantProgram(int64_t max_index_rebuilds);
 

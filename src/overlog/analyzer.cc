@@ -526,8 +526,8 @@ class Analyzer {
         if (cols.empty() || decl == decls_.end()) {
           continue;  // unconstrained scan, or external table with unknown key
         }
-        if (cols == decl->second.EffectiveKey()) {
-          continue;  // key-shaped probe; the index mirrors the primary key
+        if (decl->second.KeyCoveredBy(cols)) {
+          continue;  // key-covered probe: the engine answers it from the row map
         }
         if (!seen.insert({atom.table, cols}).second) {
           continue;

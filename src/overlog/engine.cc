@@ -250,15 +250,13 @@ Status Engine::Recompile() {
         table->WarmIndex(cols);
       }
     }
-    // Incremental index maintenance rides with the optimizer (it changes probe-result
-    // order, which the default byte-stable path must not). The drift snapshot caches Table
-    // pointers: PlanDrifted runs at every tick entry, and name lookups there would charge
-    // O(tables) map probes per tick to workloads the optimizer never helps. Tables declared
-    // after this snapshot (only perf_table's lazy declare) join it at the next recompile.
+    // The drift snapshot caches Table pointers: PlanDrifted runs at every tick entry, and
+    // name lookups there would charge O(tables) map probes per tick to workloads the
+    // optimizer never helps. Tables declared after this snapshot (only perf_table's lazy
+    // declare) join it at the next recompile.
     planned_rows_.clear();
     for (const std::string& name : catalog_.TableNames()) {
       Table* table = catalog_.Find(name);
-      table->set_incremental_index_maintenance(true);
       planned_rows_.emplace_back(table, table->size());
     }
   }
@@ -315,7 +313,7 @@ std::string Engine::ExplainPlan() const {
       }
       s += std::to_string(a.probe_cols[i]);
     }
-    s += ')';
+    s += a.key_lookup ? ")[key]" : ")";
     return s;
   };
   auto variant_str = [&](const CompiledVariant& v, const std::string& label) {
@@ -899,7 +897,8 @@ Engine::TickResult Engine::Tick(double now_ms) {
               continue;
             }
             for (const CompiledStep& step : variant.steps) {
-              if (step.kind == BodyTerm::Kind::kAtom && step.atom.table_ptr != nullptr) {
+              if (step.kind == BodyTerm::Kind::kAtom && step.atom.table_ptr != nullptr &&
+                  !step.atom.key_lookup) {
                 step.atom.table_ptr->WarmIndex(step.atom.probe_cols);
               }
             }

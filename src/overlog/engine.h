@@ -66,11 +66,13 @@ struct EngineOptions {
   // Profile-guided cost-based optimizer (DESIGN.md §13). Off by default: the default path
   // compiles the classic greedy most-bound-first plans and stays byte-identical to every
   // pinned trace. When on: rule bodies are ordered by a cardinality cost model seeded from
-  // live table stats, chosen probe indexes are pre-warmed after each (re)compile, identical
-  // body prefixes across rules evaluate once per fixpoint round into a shared binding cache
-  // (serial fixpoint only), and tables maintain cached secondary indexes incrementally
-  // across replace/erase. Re-planning happens deterministically at tick boundaries when
-  // observed row counts drift (see replan_* below), so runs stay byte-identical per seed.
+  // live table stats, the secondary indexes the chosen plans probe are pre-warmed after
+  // each (re)compile, and identical body prefixes across rules evaluate once per fixpoint
+  // round into a shared binding cache (serial fixpoint only). Index maintenance does not
+  // depend on this switch: key-covered probes always read the row map, and every secondary
+  // index is updated in place on each mutation. Re-planning happens deterministically at
+  // tick boundaries when observed row counts drift (see replan_* below), so runs stay
+  // byte-identical per seed.
   bool enable_optimizer = false;
   // Re-plan at a tick boundary when some table's row count and the count recorded at plan
   // time differ by more than replan_drift_factor (and the larger side has at least

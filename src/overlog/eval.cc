@@ -122,16 +122,34 @@ void Evaluator::JoinSteps(const CompiledRule& rule, const CompiledVariant& varia
       const CompiledAtom& atom = step.atom;
       Table* table = atom.table_ptr != nullptr ? atom.table_ptr : catalog_->Find(atom.table);
       BOOM_CHECK(table != nullptr) << "planner admitted unknown table " << atom.table;
+      auto probe_value = [&atom, slots](size_t col) -> const Value& {
+        const CompiledArg& arg = atom.args[col];
+        return arg.is_const ? arg.constant : (*slots)[static_cast<size_t>(arg.slot)];
+      };
       // Build the probe key from const and pre-bound argument positions in a per-depth
       // scratch buffer; the table is probed by view (precomputed hash, no Tuple built).
       std::vector<Value>& probe_vals = ProbeScratch(step_idx);
-      for (size_t col : atom.probe_cols) {
-        const CompiledArg& arg = atom.args[col];
-        if (arg.is_const) {
-          probe_vals.push_back(arg.constant);
-        } else {
-          probe_vals.push_back((*slots)[static_cast<size_t>(arg.slot)]);
+      if (atom.key_lookup) {
+        for (size_t col : table->key_columns()) {
+          probe_vals.push_back(probe_value(col));
         }
+        const Tuple* row =
+            table->ProbeKey(TupleView::Of(probe_vals.data(), probe_vals.size()));
+        if (atom.negated) {
+          // The key matched; the row must also agree on any non-key probe column.
+          bool found = row != nullptr &&
+                       std::all_of(atom.probe_cols.begin(), atom.probe_cols.end(),
+                                   [&](size_t col) { return (*row)[col] == probe_value(col); });
+          if (!found) {
+            JoinSteps(rule, variant, step_idx + 1, slots, emit);
+          }
+        } else if (row != nullptr && BindAtomRow(atom, *row, slots)) {
+          JoinSteps(rule, variant, step_idx + 1, slots, emit);
+        }
+        return;
+      }
+      for (size_t col : atom.probe_cols) {
+        probe_vals.push_back(probe_value(col));
       }
       const std::vector<const Tuple*>& rows =
           table->Probe(atom.probe_cols, TupleView::Of(probe_vals.data(), probe_vals.size()));

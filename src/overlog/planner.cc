@@ -236,6 +236,7 @@ class RuleCompiler {
       }
       ca.args.push_back(std::move(carg));
     }
+    ca.key_lookup = is_probe && catalog_.Find(atom.table)->def().KeyCoveredBy(ca.probe_cols);
     if (!atom.negated) {
       for (int s : locally_bound) {
         bound->insert(s);
@@ -878,12 +879,13 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
   }
 
   if (options.cost_based) {
-    // Automatic index selection: every (table, probe columns) pair any chosen plan will
-    // probe, sorted + deduped for the engine's post-recompile WarmIndex sweep.
+    // Automatic index selection: every secondary index any chosen plan will probe, sorted
+    // + deduped for the engine's post-recompile WarmIndex sweep.
     std::set<std::pair<std::string, std::vector<size_t>>> warm;
     auto collect = [&warm](const CompiledVariant& v) {
       for (const CompiledStep& step : v.steps) {
-        if (step.kind == BodyTerm::Kind::kAtom && !step.atom.probe_cols.empty()) {
+        if (step.kind == BodyTerm::Kind::kAtom && !step.atom.probe_cols.empty() &&
+            !step.atom.key_lookup) {
           warm.emplace(step.atom.table, step.atom.probe_cols);
         }
       }

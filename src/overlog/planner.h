@@ -62,6 +62,9 @@ struct CompiledAtom {
   std::vector<CompiledArg> args;
   // Columns to probe on (const args + already-bound vars at this point in the ordering).
   std::vector<size_t> probe_cols;
+  // The probe columns cover the table's whole effective key: the evaluator answers this
+  // atom from the row map (Table::ProbeKey, 0 or 1 rows) and no secondary index is built.
+  bool key_lookup = false;
 };
 
 // An ordered body term ready for evaluation.
@@ -182,9 +185,9 @@ struct CompiledProgram {
   std::vector<StratumSchedule> schedule;  // one entry per stratum
   // Cost-based planning only (empty otherwise):
   bool cost_based = false;
-  // Every (table, probe columns) pair the chosen plans will probe, sorted + deduped; the
-  // engine warms these via Table::WarmIndex right after a successful recompile so first
-  // probes inside a tick never pay a cold index build.
+  // Every (table, probe columns) secondary index the chosen plans will probe, sorted +
+  // deduped (key lookups need none); the engine warms these via Table::WarmIndex right
+  // after a successful recompile so first probes inside a tick never pay a cold build.
   std::vector<std::pair<std::string, std::vector<size_t>>> warm_indexes;
   std::vector<SharedPrefixGroup> shared_prefixes;
 };

@@ -8,14 +8,6 @@
 
 namespace boom {
 
-namespace {
-bool g_disable_index_catchup = false;
-}  // namespace
-
-void Table::SetDisableIndexCatchupForBenchmarks(bool disable) {
-  g_disable_index_catchup = disable;
-}
-
 std::vector<size_t> TableDef::EffectiveKey() const {
   if (!key_columns.empty()) {
     return key_columns;
@@ -25,9 +17,15 @@ std::vector<size_t> TableDef::EffectiveKey() const {
   return all;
 }
 
+bool TableDef::KeyCoveredBy(const std::vector<size_t>& cols) const {
+  const std::vector<size_t> key = EffectiveKey();
+  return std::all_of(key.begin(), key.end(), [&cols](size_t col) {
+    return std::find(cols.begin(), cols.end(), col) != cols.end();
+  });
+}
+
 Table::Table(TableDef def) : def_(std::move(def)) {
   effective_key_ = def_.EffectiveKey();
-  key_is_whole_row_ = effective_key_.size() == def_.arity();
 }
 
 Table::InsertOutcome Table::Insert(Tuple tuple, double now_ms) {
@@ -42,27 +40,18 @@ Table::InsertOutcome Table::Insert(Tuple tuple, double now_ms) {
   // Tuple is only copied (a refcount bump) when the key is actually new.
   auto [it, added] = rows_.try_emplace(std::move(key), tuple);
   if (added) {
-    insert_log_.push_back(&it->second);
+    AddRowToIndexes(&it->second);
     ++version_;
     return InsertOutcome::kInserted;
   }
   if (it->second == tuple) {
     return InsertOutcome::kUnchanged;
   }
-  if (incremental_maintenance_) {
-    // Remove the old payload from every cached index while it is still readable, assign in
-    // place (the node address is stable), then re-add under the new projections. No epoch
-    // bump: every surviving index stays fully caught up.
-    RemoveRowFromIndexes(&it->second);
-    it->second = std::move(tuple);
-    AddRowToIndexes(&it->second);
-    ++version_;
-    return InsertOutcome::kReplaced;
-  }
+  // The node address is stable: re-index the row under its new payload.
+  RemoveRowFromIndexes(&it->second);
   it->second = std::move(tuple);
+  AddRowToIndexes(&it->second);
   ++version_;
-  ++mutation_epoch_;  // cached index entries may point at the replaced payload
-  insert_log_.clear();
   return InsertOutcome::kReplaced;
 }
 
@@ -71,16 +60,9 @@ bool Table::Erase(const Tuple& tuple) {
   if (it == rows_.end() || it->second != tuple) {
     return false;
   }
-  if (incremental_maintenance_) {
-    RemoveRowFromIndexes(&it->second);
-    rows_.erase(it);
-    ++version_;
-    return true;
-  }
+  RemoveRowFromIndexes(&it->second);
   rows_.erase(it);
   ++version_;
-  ++mutation_epoch_;
-  insert_log_.clear();
   return true;
 }
 
@@ -89,58 +71,51 @@ bool Table::EraseByKey(const Tuple& key) {
   if (it == rows_.end()) {
     return false;
   }
-  if (incremental_maintenance_) {
-    RemoveRowFromIndexes(&it->second);
-    rows_.erase(it);
-    ++version_;
-    return true;
-  }
+  RemoveRowFromIndexes(&it->second);
   rows_.erase(it);
   ++version_;
-  ++mutation_epoch_;
-  insert_log_.clear();
   return true;
 }
 
+TupleView Table::ProjectView(const Tuple& row, const std::vector<size_t>& cols) {
+  project_scratch_.clear();
+  for (size_t col : cols) {
+    project_scratch_.push_back(row[col]);
+  }
+  return TupleView::Of(project_scratch_.data(), project_scratch_.size());
+}
+
+void Table::IndexRow(Index& index, const std::vector<size_t>& cols, const Tuple* row) {
+  const TupleView key = ProjectView(*row, cols);
+  auto bucket_it = index.find(key);
+  if (bucket_it == index.end()) {
+    bucket_it = index.try_emplace(Tuple(key.data, key.size)).first;
+  }
+  bucket_it->second.push_back(row);
+}
+
 void Table::RemoveRowFromIndexes(const Tuple* row) {
-  for (auto idx_it = indexes_.begin(); idx_it != indexes_.end();) {
-    CachedIndex& cached = idx_it->second;
-    if (!cached.built || cached.epoch != mutation_epoch_) {
-      // Stale from a pre-optimizer full-invalidation (Clear/expiry/epoch bump): drop it;
-      // the next probe rebuilds from scratch anyway.
-      idx_it = indexes_.erase(idx_it);
+  for (auto& [cols, index] : indexes_) {
+    auto bucket_it = index.find(ProjectView(*row, cols));
+    if (bucket_it == index.end()) {
       continue;
     }
-    // Fold pending plain inserts first so the bucket for `row` is present even when the row
-    // was inserted after this index last caught up.
-    for (; cached.log_pos < insert_log_.size(); ++cached.log_pos) {
-      const Tuple* logged = insert_log_[cached.log_pos];
-      cached.index[logged->Project(idx_it->first)].push_back(logged);
+    std::vector<const Tuple*>& bucket = bucket_it->second;
+    // find + erase keeps the surviving rows' relative order, which derivation order (and
+    // with it trace order) observes.
+    auto pos = std::find(bucket.begin(), bucket.end(), row);
+    if (pos != bucket.end()) {
+      bucket.erase(pos);
     }
-    auto bucket_it = cached.index.find(row->Project(idx_it->first));
-    if (bucket_it != cached.index.end()) {
-      std::vector<const Tuple*>& bucket = bucket_it->second;
-      // std::find + erase keeps the surviving rows' relative order, which derivation order
-      // (and with it trace order) observes.
-      auto pos = std::find(bucket.begin(), bucket.end(), row);
-      if (pos != bucket.end()) {
-        bucket.erase(pos);
-      }
-      if (bucket.empty()) {
-        cached.index.erase(bucket_it);
-      }
+    if (bucket.empty()) {
+      index.erase(bucket_it);
     }
-    ++idx_it;
-  }
-  insert_log_.clear();
-  for (auto& [cols, cached] : indexes_) {
-    cached.log_pos = 0;
   }
 }
 
 void Table::AddRowToIndexes(const Tuple* row) {
-  for (auto& [cols, cached] : indexes_) {
-    cached.index[row->Project(cols)].push_back(row);
+  for (auto& [cols, index] : indexes_) {
+    IndexRow(index, cols, row);
   }
 }
 
@@ -163,29 +138,26 @@ std::vector<Tuple> Table::Rows() const {
   return out;
 }
 
+const Tuple* Table::ProbeKey(const TupleView& key) {
+  probes_.fetch_add(1, std::memory_order_relaxed);
+  auto it = rows_.find(key);
+  if (it == rows_.end()) {
+    return nullptr;
+  }
+  probe_hits_.fetch_add(1, std::memory_order_relaxed);
+  return &it->second;
+}
+
 const Index& Table::GetIndex(const std::vector<size_t>& cols) {
-  CachedIndex& cached = indexes_[cols];
-  if (!cached.built || cached.epoch != mutation_epoch_ ||
-      (g_disable_index_catchup && cached.log_pos != insert_log_.size())) {
-    // Full rebuild: a replacement or erase may have invalidated cached row pointers.
-    if (cached.built) {
-      index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    cached.index.clear();
-    for (const auto& [key, row] : rows_) {
-      cached.index[row.Project(cols)].push_back(&row);
-    }
-    cached.built = true;
-    cached.epoch = mutation_epoch_;
-    cached.log_pos = insert_log_.size();
-    return cached.index;
+  auto it = indexes_.find(cols);
+  if (it != indexes_.end()) {
+    return it->second;
   }
-  // Catch up on plain inserts only: O(delta) per probe instead of O(table).
-  for (; cached.log_pos < insert_log_.size(); ++cached.log_pos) {
-    const Tuple* row = insert_log_[cached.log_pos];
-    cached.index[row->Project(cols)].push_back(row);
+  Index& index = indexes_[cols];
+  for (const auto& [key, row] : rows_) {
+    IndexRow(index, cols, &row);
   }
-  return cached.index;
+  return index;
 }
 
 const std::vector<const Tuple*>& Table::Probe(const std::vector<size_t>& cols,
@@ -235,9 +207,10 @@ void Table::Clear() {
   if (!rows_.empty()) {
     rows_.clear();
     row_time_.clear();
+    for (auto& [cols, index] : indexes_) {
+      index.clear();
+    }
     ++version_;
-    ++mutation_epoch_;
-    insert_log_.clear();
   }
 }
 
@@ -251,6 +224,7 @@ std::vector<Tuple> Table::ExpireOlderThan(double cutoff_ms) {
       auto row_it = rows_.find(it->first);
       if (row_it != rows_.end()) {
         expired.push_back(row_it->second);
+        RemoveRowFromIndexes(&row_it->second);
         rows_.erase(row_it);
       }
       it = row_time_.erase(it);
@@ -260,8 +234,6 @@ std::vector<Tuple> Table::ExpireOlderThan(double cutoff_ms) {
   }
   if (!expired.empty()) {
     ++version_;
-    ++mutation_epoch_;
-    insert_log_.clear();
   }
   return expired;
 }

@@ -1,9 +1,17 @@
-// Table: a materialized Overlog relation with primary-key semantics and lazily built
-// secondary hash indexes.
+// Table: a materialized Overlog relation with primary-key semantics and secondary hash
+// indexes that are kept up to date in place.
 //
 // Overlog tables declare a primary key (subset of columns). Inserting a tuple whose key is
 // already present replaces the old row (update-in-place semantics, as in P2/JOL). Tables with
 // no declared key treat every column as the key, i.e. plain set semantics.
+//
+// Every probe takes one of two paths:
+//   - Key lookup (ProbeKey): the probe columns cover the whole effective key, so the row map
+//     itself answers with 0 or 1 rows. No secondary index exists for such a probe.
+//   - Secondary index (Probe): built from the rows on the first probe of a column set, then
+//     updated in place by every Insert (new key or replace), Erase/EraseByKey, Clear and
+//     ExpireOlderThan. No mutation ever forces a rebuild. A bucket lists its rows in the
+//     order they entered the index; removing a row keeps the survivors' relative order.
 //
 // Event tables hold tuples for a single engine timestep; the Engine clears them between ticks.
 
@@ -39,6 +47,9 @@ struct TableDef {
   size_t arity() const { return columns.size(); }
   // Effective key: declared keys, or all columns when none declared.
   std::vector<size_t> EffectiveKey() const;
+  // True when `cols` include every effective key column, so a probe on them matches at
+  // most one row: the engine answers it from the row map (a key lookup).
+  bool KeyCoveredBy(const std::vector<size_t>& cols) const;
 };
 
 // Secondary index: projection of selected columns -> rows having that projection.
@@ -75,6 +86,11 @@ class Table {
   // mutation of that key.
   const Tuple* LookupByKey(const Tuple& key) const;
   bool Contains(const Tuple& tuple) const;
+  // Key-lookup probe path: `key` holds the values of key_columns(), in that order. Counted
+  // in probes()/probe_hits() like an index probe.
+  const Tuple* ProbeKey(const TupleView& key);
+  // Effective key columns, in the order the row map's keys store them.
+  const std::vector<size_t>& key_columns() const { return effective_key_; }
 
   // Snapshot of all rows (copy; used where mutation during iteration is possible).
   std::vector<Tuple> Rows() const;
@@ -87,21 +103,20 @@ class Table {
     }
   }
 
-  // Returns rows whose projection on `cols` equals `probe`, via a lazily built and cached
-  // hash index. The returned pointers (and the returned vector itself) are valid until the
-  // next table mutation; capture probe_generation() before use and call AssertProbeFresh()
-  // to enforce that in debug builds.
+  // Returns rows whose projection on `cols` equals `probe`, via the secondary index on
+  // `cols` (built on first use). The returned pointers (and the returned vector itself) are
+  // valid until the next table mutation; capture probe_generation() before use and call
+  // AssertProbeFresh() to enforce that in debug builds.
   const std::vector<const Tuple*>& Probe(const std::vector<size_t>& cols, const Tuple& probe);
   // Precomputed-hash probe path: no Tuple is materialized and the hash is computed once by
   // the caller (TupleView::Of), not re-derived per hash-map operation.
   const std::vector<const Tuple*>& Probe(const std::vector<size_t>& cols,
                                          const TupleView& probe);
 
-  // Builds (or catches up) the secondary index on `cols` now. After this — and until the
-  // next table mutation — Probe(cols, ...) is write-free: the cached index is built, its
-  // epoch matches, and the insert-log catch-up loop has nothing to fold in. The parallel
-  // fixpoint warms every (table, probe_cols) pair a rule batch will touch on the engine
-  // thread before dispatching, so worker-side probes are pure reads.
+  // Builds the secondary index on `cols` now if it does not exist yet. Once built, an index
+  // stays current through every mutation, so later Probe(cols, ...) calls are pure reads.
+  // The parallel fixpoint warms every index a rule batch will probe on the engine thread
+  // before dispatching workers.
   void WarmIndex(const std::vector<size_t>& cols) { GetIndex(cols); }
 
   // Generation token for probe-result validity: changes on every mutation that can move or
@@ -119,70 +134,45 @@ class Table {
   // Extracts the primary key projection from a full row.
   Tuple KeyOf(const Tuple& tuple) const { return tuple.Project(effective_key_); }
 
-  // Ablation switch (benchmarks only): when true, every probe rebuilds its index from
-  // scratch instead of catching up from the insert log.
-  static void SetDisableIndexCatchupForBenchmarks(bool disable);
-
-  // --- optimizer support -------------------------------------------------------------
-
-  // Optimizer mode: maintain cached secondary indexes incrementally across replace/erase
-  // instead of bumping mutation_epoch_ (which forces a full O(table) rebuild on the next
-  // probe of every cached index). Post-mutation bucket order differs from the rebuild
-  // order, which is observable in derivation order, so this is only switched on together
-  // with the cost-based optimizer (EngineOptions::enable_optimizer) — never on the default
-  // byte-stable path. Clear() and ExpireOlderThan() keep full-rebuild semantics.
-  void set_incremental_index_maintenance(bool on) { incremental_maintenance_ = on; }
-  bool incremental_index_maintenance() const { return incremental_maintenance_; }
-
   // Cost-model statistic: exact count of distinct values in column `col` by full scan.
   // Order-independent (set-based), so the result is deterministic regardless of hash-map
   // iteration order — required for byte-identical re-planning per seed.
   uint64_t DistinctCount(size_t col) const;
 
-  // Runtime counters for perf_table / the metrics registry. Atomic (relaxed) because the
-  // parallel fixpoint probes warmed indexes from worker threads.
+  // Runtime counters for perf_table / the metrics registry, covering both probe paths.
+  // Atomic (relaxed) because the parallel fixpoint probes from worker threads.
   uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
   uint64_t probe_hits() const { return probe_hits_.load(std::memory_order_relaxed); }
-  uint64_t index_rebuilds() const {
-    return index_rebuilds_.load(std::memory_order_relaxed);
-  }
+  // Full rebuilds of an already-built index. Indexes are maintained in place, so this is
+  // always 0; it stays as the perf_table Rebuilds column and engine.table.*.index_rebuilds
+  // gauge that index-churn monitors read.
+  uint64_t index_rebuilds() const { return 0; }
 
  private:
-  struct CachedIndex {
-    bool built = false;
-    uint64_t epoch = 0;     // full rebuild needed when != mutation_epoch_
-    size_t log_pos = 0;     // prefix of insert_log_ already folded in
-    Index index;
-  };
-
   const Index& GetIndex(const std::vector<size_t>& cols);
 
-  // Incremental-maintenance helper: brings every cached index fully up to date (folding the
-  // insert log; dropping stale-epoch entries), then removes `row` — identified by address —
-  // from each bucket keyed by its current projection. Leaves insert_log_ empty with every
-  // surviving index at log_pos 0. Callers must invoke this while `row` still holds its old
-  // payload, and must NOT bump mutation_epoch_ afterwards (no dangling pointers remain).
+  // View of `row` projected on `cols`, held in project_scratch_ until the next call; index
+  // maintenance finds buckets through it without building a projected Tuple.
+  TupleView ProjectView(const Tuple& row, const std::vector<size_t>& cols);
+  // Appends `row` to its bucket in `index` (keyed on `cols`).
+  void IndexRow(Index& index, const std::vector<size_t>& cols, const Tuple* row);
+  // Removes `row` (identified by address) from every index bucket keyed by its current
+  // projection. Call while `row` still holds the payload it was indexed under.
   void RemoveRowFromIndexes(const Tuple* row);
-  // Appends `row` (already holding its new payload) to every cached index bucket.
+  // Appends `row` (holding its current payload) to every index.
   void AddRowToIndexes(const Tuple* row);
 
   TableDef def_;
   std::vector<size_t> effective_key_;
-  bool key_is_whole_row_;
-  std::unordered_map<Tuple, Tuple, TupleHash> rows_;  // key projection -> full row
+  // Key projection -> full row. Node addresses are stable, so indexes hold row pointers.
+  std::unordered_map<Tuple, Tuple, TupleHash, TupleEq> rows_;
   std::unordered_map<Tuple, double, TupleHash> row_time_;  // TTL tables only
-  std::map<std::vector<size_t>, CachedIndex> indexes_;
+  std::map<std::vector<size_t>, Index> indexes_;
   uint64_t version_ = 0;
-  // Index maintenance: plain inserts append here (stable pointers into rows_), so cached
-  // indexes catch up in O(delta). Replacements/erases bump mutation_epoch_, forcing a full
-  // rebuild (stale pointers would otherwise dangle).
-  std::vector<const Tuple*> insert_log_;
-  uint64_t mutation_epoch_ = 0;
   std::vector<const Tuple*> empty_result_;
-  bool incremental_maintenance_ = false;
+  std::vector<Value> project_scratch_;
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> probe_hits_{0};
-  std::atomic<uint64_t> index_rebuilds_{0};
 };
 
 }  // namespace boom

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "src/overlog/catalog.h"
+#include "src/overlog/engine.h"
 #include "src/overlog/table.h"
 
 namespace boom {
@@ -138,27 +140,35 @@ TEST(TableTest, ContainsChecksFullRow) {
 }
 
 
-// Regression sweep for incremental index maintenance: interleaved inserts, replacements,
-// erases, and probes must always match a brute-force scan.
+// Regression sweep for in-place index maintenance: interleaved inserts, replacements,
+// erases, TTL expiry, clears, and probes on both paths (secondary index and key lookup)
+// must always match a brute-force scan.
 class IndexMaintenanceProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexMaintenanceProperty, ProbeAlwaysMatchesScan) {
   std::mt19937_64 gen(GetParam());
   std::uniform_int_distribution<int> key(0, 40);
   std::uniform_int_distribution<int> group(0, 5);
-  std::uniform_int_distribution<int> op(0, 9);
+  std::uniform_int_distribution<int> op(0, 39);
 
-  Table t(KeyedDef());  // file(FileId keys(0), ParentId, Name)
-  for (int step = 0; step < 500; ++step) {
+  TableDef def = KeyedDef();  // file(FileId keys(0), ParentId, Name), soft state
+  def.ttl_ms = 60;
+  Table t(def);
+  for (int step = 0; step < 800; ++step) {
+    const double now = step;
     int action = op(gen);
-    if (action < 6) {
-      // Insert or replace.
-      t.Insert(Tuple{Value(key(gen)), Value(group(gen)),
-                     Value("n" + std::to_string(step))});
-    } else if (action < 8) {
+    if (action < 22) {
+      // Insert or replace (refreshes the lease).
+      t.Insert(Tuple{Value(key(gen)), Value(group(gen)), Value("n" + std::to_string(step))},
+               now);
+    } else if (action < 28) {
       t.EraseByKey(Tuple{Value(key(gen))});
+    } else if (action < 30) {
+      t.ExpireOlderThan(now - def.ttl_ms);
+    } else if (action == 30) {
+      t.Clear();
     } else {
-      // Probe on the non-key column and cross-check against a full scan.
+      // Secondary index on the non-key column.
       int g = group(gen);
       const auto& via_index = t.Probe({1}, Tuple{Value(g)});
       size_t scan_count = 0;
@@ -171,6 +181,107 @@ TEST_P(IndexMaintenanceProperty, ProbeAlwaysMatchesScan) {
       for (const Tuple* row : via_index) {
         ASSERT_EQ((*row)[1], Value(g));
       }
+      // Key lookup: the row map's own entry, or nothing.
+      const Value k(key(gen));
+      const Tuple* via_key = t.ProbeKey(TupleView::Of(&k, 1));
+      const Tuple* scanned = nullptr;
+      t.ForEach([&scanned, &k](const Tuple& row) {
+        if (row[0] == k) {
+          scanned = &row;
+        }
+      });
+      ASSERT_EQ(via_key, scanned) << "step " << step << " key " << k.ToString();
+    }
+  }
+}
+
+// The evaluator side of key lookups: atoms whose probe columns cover the key, alone or
+// with an extra bound column, positive and negated, against a brute-force scan of the
+// table the rules read.
+TEST_P(IndexMaintenanceProperty, KeyLookupRulesMatchScan) {
+  EngineOptions opts;
+  opts.address = "n";
+  Engine engine(opts);
+  ASSERT_TRUE(engine
+                  .InstallSource(R"(
+    program kl;
+    table file(F, P, N) keys(0);
+    event q(F, P);
+    table hit_key(F, N);
+    table hit_extra(F, P, N);
+    table miss_key(F);
+    table miss_extra(F, P);
+    k1 hit_key(F, N) :- q(F, P), file(F, _, N);
+    k2 hit_extra(F, P, N) :- q(F, P), file(F, P, N);
+    k3 miss_key(F) :- q(F, P), notin file(F, _, _);
+    k4 miss_extra(F, P) :- q(F, P), notin file(F, P, _);
+  )")
+                  .ok());
+  // Every q-driven probe of `file` must take the key-lookup path.
+  size_t key_lookups = 0;
+  for (const CompiledRule& rule : engine.compiled().rules) {
+    for (const CompiledVariant& v : rule.variants) {
+      for (const CompiledStep& step : v.steps) {
+        if (step.kind == BodyTerm::Kind::kAtom && step.atom.table == "file") {
+          EXPECT_TRUE(step.atom.key_lookup) << rule.name;
+          ++key_lookups;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(key_lookups, 4u);
+
+  std::mt19937_64 gen(GetParam());
+  std::uniform_int_distribution<int> key(0, 20);
+  std::uniform_int_distribution<int> group(0, 3);
+  std::uniform_int_distribution<int> op(0, 19);
+  Table& file = engine.catalog().Get("file");
+  double now = 0;
+  engine.Tick(now);
+  auto rows = [&engine](const std::string& name) {
+    std::set<std::string> out;
+    engine.catalog().Get(name).ForEach([&out](const Tuple& t) { out.insert(t.ToString()); });
+    return out;
+  };
+  for (int step = 0; step < 300; ++step) {
+    int action = op(gen);
+    if (action < 10) {
+      file.Insert(Tuple{Value(key(gen)), Value(group(gen)), Value(step)});
+    } else if (action < 14) {
+      file.EraseByKey(Tuple{Value(key(gen))});
+    } else if (action == 14) {
+      file.Clear();
+    } else {
+      for (const char* out : {"hit_key", "hit_extra", "miss_key", "miss_extra"}) {
+        engine.catalog().Get(out).Clear();
+      }
+      std::set<std::string> hit_key, hit_extra, miss_key, miss_extra;
+      for (int i = 0; i < 4; ++i) {
+        const Value f(key(gen));
+        const Value p(group(gen));
+        ASSERT_TRUE(engine.Enqueue("q", Tuple{f, p}).ok());
+        const Tuple* row = nullptr;
+        file.ForEach([&row, &f](const Tuple& r) {
+          if (r[0] == f) {
+            row = &r;
+          }
+        });
+        if (row != nullptr) {
+          hit_key.insert(Tuple{f, (*row)[2]}.ToString());
+        } else {
+          miss_key.insert(Tuple{f}.ToString());
+        }
+        if (row != nullptr && (*row)[1] == p) {
+          hit_extra.insert(Tuple{f, p, (*row)[2]}.ToString());
+        } else {
+          miss_extra.insert(Tuple{f, p}.ToString());
+        }
+      }
+      engine.Tick(++now);
+      ASSERT_EQ(rows("hit_key"), hit_key) << "step " << step;
+      ASSERT_EQ(rows("hit_extra"), hit_extra) << "step " << step;
+      ASSERT_EQ(rows("miss_key"), miss_key) << "step " << step;
+      ASSERT_EQ(rows("miss_extra"), miss_extra) << "step " << step;
     }
   }
 }
@@ -200,6 +311,40 @@ TEST(TableTest, ProbeSurvivesRehash) {
   for (const Tuple* row : rows) {
     EXPECT_EQ((*row)[1], Value(0));  // pointers still valid
   }
+}
+
+TEST(TableTest, ReplaceEraseChurnNeverRebuilds) {
+  TableDef def;
+  def.name = "t";
+  def.columns = {"K", "V"};
+  def.key_columns = {0};
+  Table table(def);
+  for (int k = 0; k < 32; ++k) {
+    table.Insert(Tuple{Value(k), Value(k * 10)});
+  }
+  const std::vector<size_t> by_value{1};
+  // A bucket no mutation below touches: an in-place index keeps its node (and the vector
+  // Probe returns) at the same address; a rebuild would replace it.
+  const std::vector<const Tuple*>* untouched = &table.Probe(by_value, Tuple{Value(310)});
+  ASSERT_EQ(untouched->size(), 1u);
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(50)}).size(), 1u);
+  // Replace churn: every even key gets a new payload; the index must follow.
+  for (int k = 0; k < 32; k += 2) {
+    EXPECT_EQ(table.Insert(Tuple{Value(k), Value(k * 10 + 1)}),
+              Table::InsertOutcome::kReplaced);
+  }
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(50)}).size(), 1u);   // odd key untouched
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(40)}).size(), 0u);   // old payload gone
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(41)}).size(), 1u);   // new payload indexed
+  EXPECT_TRUE(table.EraseByKey(Tuple{Value(5)}));
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(50)}).size(), 0u);
+  EXPECT_TRUE(table.Erase(Tuple{Value(7), Value(70)}));
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(70)}).size(), 0u);
+  table.Insert(Tuple{Value(100), Value(999)});
+  EXPECT_EQ(table.Probe(by_value, Tuple{Value(999)}).size(), 1u);
+  EXPECT_EQ(table.size(), 31u);
+  EXPECT_EQ(&table.Probe(by_value, Tuple{Value(310)}), untouched);
+  EXPECT_EQ(table.index_rebuilds(), 0u);
 }
 
 TEST(CatalogTest, DeclareAndFind) {
