@@ -31,14 +31,12 @@ namespace {
 constexpr int kOps = 1200;
 
 double RunConfig(bool incremental_aggs, bool version_skip, bool dirty_rules,
-                 size_t threads = 1, bool parallel_fixpoint = true, bool optimizer = false) {
+                 bool optimizer = false) {
   EngineOptions opts;
   opts.address = "nn";
   opts.disable_incremental_aggregates = !incremental_aggs;
   opts.disable_aggregate_version_skip = !version_skip;
   opts.disable_dirty_rule_scheduling = !dirty_rules;
-  opts.worker_threads = threads;
-  opts.disable_parallel_fixpoint = !parallel_fixpoint;
   opts.enable_optimizer = optimizer;
   Engine engine(opts);
   Program nn_program = BoomFsNnProgram();
@@ -86,24 +84,16 @@ int main(int argc, char** argv) {
     const char* label;
     const char* key;  // JSON workload name
     bool inc_agg, version_skip, dirty_rules;
-    size_t threads = 1;
-    bool parallel_fixpoint = true;
     bool optimizer = false;
   };
-  // G and H run last: an engine with worker_threads > 1 flips tuple refcounts into their
-  // (sticky, process-wide) atomic mode, which would taint the serial configs' numbers.
-  // G vs H isolates the intra-fixpoint batcher itself: same pool, same atomic refcounts,
-  // parallel evaluation on vs off. F is A plus the cost-based optimizer — the one config
-  // that ADDS a mechanism instead of removing one.
+  // F is A plus the cost-based optimizer — the one config that ADDS a mechanism instead of
+  // removing one.
   const Config configs[] = {
       {"A. full engine", "full_engine", true, true, true},
       {"B. no incremental aggregates", "no_incremental_aggregates", false, true, true},
       {"C. no aggregate version-skip", "no_aggregate_version_skip", false, false, true},
       {"E. no dirty-rule scheduling", "no_dirty_rule_scheduling", true, true, false},
-      {"F. cost-based optimizer on", "cost_based_optimizer", true, true, true, 1, true, true},
-      {"G. parallel fixpoint (4 threads)", "parallel_fixpoint_4t", true, true, true, 4, true},
-      {"H. 4 threads, parallel eval off", "no_parallel_fixpoint_4t", true, true, true, 4,
-       false},
+      {"F. cost-based optimizer on", "cost_based_optimizer", true, true, true, true},
   };
 
   if (!json) {
@@ -123,7 +113,7 @@ int main(int argc, char** argv) {
     double ms = 0;
     for (int rep = 0; rep < kReps; ++rep) {
       double run_ms = RunConfig(config.inc_agg, config.version_skip, config.dirty_rules,
-                                config.threads, config.parallel_fixpoint, config.optimizer);
+                                config.optimizer);
       if (rep == 0 || run_ms < ms) {
         ms = run_ms;
       }

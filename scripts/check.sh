@@ -19,10 +19,12 @@
 # then a 3-seed boomfs chaos sweep (corruption + slow-disk faults included via the
 # scenario's fault profile), so memory errors on the retry/quarantine/re-replication
 # paths surface even though the full chaos tier is too slow for every push.
-# TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine + parallel labels plus
-# a 2-seed 4-thread chaos smoke — every shared-state fast path in the parallel fixpoint
-# (tuple refcounts, interner shards, worker evaluators, cluster tick batches) raced under
-# the sanitizer.
+# TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the optimizer, engine, sim and
+# parallel tests plus 4-thread chaos smokes of boomfs and federation. Parallelism lives
+# only in the Cluster, which ticks whole engines on pool threads; the leg races what those
+# threads share (sticky atomic tuple refcounts, interner shards, cluster tick batches) and
+# checks that per-engine state, such as the plain per-table probe counters, stays confined
+# to one thread at a time. Federation hosts the most engines per cluster.
 # Bench smoke: Release build of micro_engine, gated against the committed BENCH_engine.json
 # (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py), then the
 # system benchmark's smoke run (bench/system: oracle or determinism-guard failures fail).
@@ -91,18 +93,21 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake --build build-tsan -j "$JOBS" --target engine_test sim_test parallel_test \
     chaos_explorer optimizer_test olglint olgrun
 
-  echo "==> TSan optimizer tests (ctest -L optimizer: shared-prefix cache + re-plan under TSan)"
+  echo "==> TSan optimizer tests (ctest -L optimizer: re-plan and index warming under TSan)"
   (cd build-tsan && ctest -L optimizer --output-on-failure -j "$JOBS")
 
   echo "==> TSan engine + sim tests"
   ./build-tsan/tests/engine_test
   ./build-tsan/tests/sim_test
 
-  echo "==> TSan parallel tests (ctest -L parallel: serial-vs-parallel byte identity)"
+  echo "==> TSan parallel tests (ctest -L parallel: cluster 1-vs-N-thread byte identity)"
   (cd build-tsan && ctest -L parallel --output-on-failure -j "$JOBS")
 
-  echo "==> TSan chaos smoke (2 seeds x boomfs, 4 worker threads)"
+  echo "==> TSan chaos smoke (2 seeds x boomfs, 4 cluster threads)"
   ./build-tsan/tools/chaos_explorer --scenario=boomfs --seeds=2 --threads=4
+
+  echo "==> TSan chaos smoke (1 seed x federation, 4 cluster threads)"
+  ./build-tsan/tools/chaos_explorer --scenario=federation --seeds=1 --threads=4
 fi
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then

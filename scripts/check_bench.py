@@ -14,7 +14,7 @@ still carry every section with the expected schema:
 
   current.micro_engine     {name: {ns_per_op, tuples_per_sec}}  engine rows, churn_probe
                            included
-  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E-H
+  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E-F
   current.optimizer        {name: {off_ns_per_op, on_ns_per_op, speedup}}  planner pairs
                            (enable_optimizer off/on; join_heavy, namespace_op)
 

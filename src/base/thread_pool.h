@@ -3,9 +3,9 @@
 // The pool runs *batches*: RunBatch(n, task) executes task(0..n-1) across the workers and
 // the calling thread, returning only when every index has completed. There is no general
 // task queue and no futures — the caller always blocks on the whole batch, which is exactly
-// the structure the simulator (per-node engine ticks of one timestamp) and the engine
-// (independent rules of one fixpoint round) need: all side effects are merged by the caller
-// afterwards, in a deterministic order, so parallel runs are byte-identical to serial ones.
+// the structure the simulator's parallel Cluster (per-node engine ticks of one timestamp)
+// needs: all side effects are merged by the caller afterwards, in a deterministic order, so
+// parallel runs are byte-identical to serial ones.
 //
 // Work distribution is claim-based (an atomic cursor over [0, n)), so batches whose items
 // have skewed costs still balance. Indices are claimed in order but may *complete* in any

@@ -62,19 +62,6 @@ rh1 invariant_violation("rule_hog", D) :- perf_rule(P, R, _, _, M, _), M > hog_c
                                                        " tuples/fixpoint");
 )olg";
 
-constexpr char kIndexChurnModule[] = R"olg(
-extern table invariant_violation(Name, Detail);
-
-// Same shape the engine declares in PublishProfile(); redeclaring identically is a no-op.
-table perf_table(Name, Rows, Probes, IndexHits, Rebuilds) keys(0);
-
-// Joins the per-table stats the engine publishes via PublishProfile(): no table may have
-// rebuilt its secondary indexes more than rebuild_cap times.
-ic1 invariant_violation("index_churn", D) :- perf_table(T, _, _, _, R), R > rebuild_cap,
-                                             D := str_cat(T, " rebuilt indexes ", R,
-                                                          " times");
-)olg";
-
 }  // namespace
 
 Program MakeTracingProgram(const Program& program, const TracingOptions& options) {
@@ -213,7 +200,7 @@ Status InstallProfiling(Engine& engine) {
   BOOM_RETURN_IF_ERROR(engine.catalog().Declare(fix_def));
   TableDef table_def;
   table_def.name = "perf_table";
-  table_def.columns = {"Name", "Rows", "Probes", "IndexHits", "Rebuilds"};
+  table_def.columns = {"Name", "Rows", "Probes", "IndexHits"};
   table_def.key_columns = {0};
   return engine.catalog().Declare(table_def);
 }
@@ -237,25 +224,6 @@ Program RuleHogInvariantProgram(int64_t max_tuples_per_fixpoint) {
   return std::move(program).value();
 }
 
-const Module& IndexChurnInvariantsModule() {
-  static const Module* kModule = new Module{
-      "index_churn_invariants",
-      kIndexChurnModule,
-      {ModuleParam::Required("rebuild_cap", ValueKind::kInt)},
-  };
-  return *kModule;
-}
-
-Program IndexChurnInvariantProgram(int64_t max_index_rebuilds) {
-  ProgramBuilder builder("index_churn_invariants");
-  Status status =
-      builder.Add(IndexChurnInvariantsModule(), {{"rebuild_cap", max_index_rebuilds}});
-  BOOM_CHECK(status.ok()) << status.ToString();
-  Result<Program> program = builder.Build();
-  BOOM_CHECK(program.ok()) << program.status().ToString();
-  return std::move(program).value();
-}
-
 void ExportTableMetrics(const Engine& engine) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (const std::string& name : engine.catalog().TableNames()) {
@@ -264,15 +232,8 @@ void ExportTableMetrics(const Engine& engine) {
     registry.gauge(prefix + "rows").Set(static_cast<double>(table.size()));
     registry.gauge(prefix + "probes").Set(static_cast<double>(table.probes()));
     registry.gauge(prefix + "probe_hits").Set(static_cast<double>(table.probe_hits()));
-    registry.gauge(prefix + "index_rebuilds")
-        .Set(static_cast<double>(table.index_rebuilds()));
   }
-  const Engine::Stats& stats = engine.stats();
-  registry.gauge("engine.optimizer.replans").Set(static_cast<double>(stats.replans));
-  registry.gauge("engine.optimizer.shared_prefix_evals")
-      .Set(static_cast<double>(stats.shared_prefix_evals));
-  registry.gauge("engine.optimizer.shared_prefix_hits")
-      .Set(static_cast<double>(stats.shared_prefix_hits));
+  registry.gauge("engine.optimizer.replans").Set(static_cast<double>(engine.stats().replans));
 }
 
 }  // namespace boom

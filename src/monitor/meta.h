@@ -50,10 +50,10 @@ Program BoomFsInvariantProgram(int replication_factor,
 
 // Turns on per-rule profiling and declares the perf_rule(Program, Rule, Evals, Tuples,
 // MaxTuplesPerTick, WallUs), perf_fixpoint(Tick, NowMs, Rounds, Derivs, WallUs), and
-// perf_table(Name, Rows, Probes, IndexHits, Rebuilds) tables up front, so monitor rules
-// can join against them before the first Engine::PublishProfile(). Profiles accumulate in
-// C++ and only land in the tables when PublishProfile() is called (keeping
-// rules-over-perf-tables from feeding back into the profile they observe).
+// perf_table(Name, Rows, Probes, IndexHits) tables up front, so monitor rules can join
+// against them before the first Engine::PublishProfile(). Profiles accumulate in C++ and
+// only land in the tables when PublishProfile() is called (keeping rules-over-perf-tables
+// from feeding back into the profile they observe).
 Status InstallProfiling(Engine& engine);
 
 // Invariant over the published profile: no rule may derive more than
@@ -63,19 +63,10 @@ Status InstallProfiling(Engine& engine);
 const Module& RuleHogInvariantsModule();
 Program RuleHogInvariantProgram(int64_t max_tuples_per_fixpoint);
 
-// Invariant over the published per-table stats: no table may suffer more than
-// `max_index_rebuilds` full secondary-index rebuilds (typed parameter rebuild_cap). The
-// engine updates its indexes in place and publishes 0 rebuilds, so a violation means a
-// perf_table row reports index churn the engine no longer has. Fires once
-// Engine::PublishProfile() lands perf_table rows.
-const Module& IndexChurnInvariantsModule();
-Program IndexChurnInvariantProgram(int64_t max_index_rebuilds);
-
-// Mirrors the live per-table stats (and, when the optimizer is on, its re-plan and
-// shared-prefix counters) into the process-wide MetricsRegistry as
-// engine.table.<name>.{rows,probes,probe_hits,index_rebuilds} gauges and
-// engine.optimizer.{replans,shared_prefix_evals,shared_prefix_hits} gauges, so monitor
-// dashboards see the same numbers perf_table publishes without an extra tick.
+// Mirrors the live per-table stats (and, when the optimizer is on, its re-plan counter) into
+// the process-wide MetricsRegistry as engine.table.<name>.{rows,probes,probe_hits} gauges
+// and the engine.optimizer.replans gauge, so monitor dashboards see the same numbers
+// perf_table publishes without an extra tick.
 void ExportTableMetrics(const Engine& engine);
 
 }  // namespace boom

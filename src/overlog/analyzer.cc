@@ -123,7 +123,6 @@ class Analyzer {
     CheckReaders();
     if (options_.advisories) {
       AdviseIndexes();
-      AdviseSharedPrefixes();
     }
     std::stable_sort(report_.diagnostics.begin(), report_.diagnostics.end(),
                      [](const Diagnostic& a, const Diagnostic& b) {
@@ -550,75 +549,6 @@ class Analyzer {
                         ") or enable the cost-based optimizer's index warming",
                     rule.name, rule.line);
       }
-    }
-  }
-
-  // Advisory tier: rules whose bodies start with the same join prefix (>= 2 leading
-  // positive atoms, identical modulo variable renaming) re-evaluate that join once per
-  // rule; the cost-based optimizer's common-subplan sharing evaluates it once per round.
-  void AdviseSharedPrefixes() {
-    struct Cand {
-      const Rule* rule;
-      std::vector<std::string> tokens;
-    };
-    std::vector<Cand> cands;
-    for (const Rule& rule : program_.rules) {
-      std::map<std::string, int> canon;
-      std::vector<std::string> tokens;
-      for (const BodyTerm& term : rule.body) {
-        if (term.kind != BodyTerm::Kind::kAtom || term.atom.negated) {
-          break;
-        }
-        std::vector<std::string> args;
-        for (const Expr& arg : term.atom.args) {
-          if (!arg.is_var()) {
-            args.push_back("=" + arg.ToString());
-            continue;
-          }
-          auto [it, added] = canon.emplace(arg.var, static_cast<int>(canon.size()));
-          args.push_back("v" + std::to_string(it->second));
-        }
-        tokens.push_back(term.atom.table + "(" + StrJoin(args, ",") + ")");
-      }
-      if (tokens.size() >= 2) {
-        cands.push_back({&rule, std::move(tokens)});
-      }
-    }
-    std::map<std::string, std::vector<size_t>> by_key;
-    for (size_t i = 0; i < cands.size(); ++i) {
-      by_key[cands[i].tokens[0] + " & " + cands[i].tokens[1]].push_back(i);
-    }
-    for (const auto& [key, members] : by_key) {
-      if (members.size() < 2) {
-        continue;
-      }
-      size_t common = 2;
-      while (true) {
-        const Cand& first = cands[members[0]];
-        if (first.tokens.size() <= common) {
-          break;
-        }
-        bool all = true;
-        for (size_t m : members) {
-          if (cands[m].tokens.size() <= common ||
-              cands[m].tokens[common] != first.tokens[common]) {
-            all = false;
-            break;
-          }
-        }
-        if (!all) {
-          break;
-        }
-        ++common;
-      }
-      std::vector<std::string> names;
-      for (size_t m : members) {
-        names.push_back(cands[m].rule->name);
-      }
-      AddAdvisory("shared-prefix",
-                  "rules " + StrJoin(names, "/") + " share a " + std::to_string(common) +
-                      "-atom prefix [" + key +
-                      "]; the cost-based optimizer evaluates it once per round");
     }
   }
 

@@ -19,8 +19,6 @@
 //   advisory wants-index          a join probes a column set no declared key covers; the
 //                                 engine will build and maintain a secondary index for it
 //                                 (a key-covered probe reads the row map instead)
-//   advisory shared-prefix        two or more rules start with the same join prefix; the
-//                                 cost-based optimizer can evaluate it once and share it
 //
 // (* no-producer demotes to a warning when AnalyzerOptions::strict_events is false — the
 // engine runs it that way, since hosts may legitimately Enqueue events from C++.)
@@ -71,7 +69,7 @@ struct AnalyzerOptions {
   bool strict_events = true;
   // Emit unread-table warnings (on by default).
   bool warn_unread = true;
-  // Emit performance advisories (wants-index, shared-prefix; on by default).
+  // Emit performance advisories (wants-index; on by default).
   bool advisories = true;
 };
 

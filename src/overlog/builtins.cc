@@ -12,20 +12,6 @@ void BuiltinRegistry::Register(const std::string& name, int arity, Fn fn) {
   fns_[name] = Entry{arity, std::move(fn)};
 }
 
-void BuiltinRegistry::MarkPure(const std::string& name) {
-  auto it = fns_.find(name);
-  if (it != fns_.end()) {
-    it->second.pure = true;
-  }
-}
-
-void BuiltinRegistry::MarkImpure(const std::string& name) {
-  auto it = fns_.find(name);
-  if (it != fns_.end()) {
-    it->second.pure = false;
-  }
-}
-
 Result<Value> BuiltinRegistry::Call(const EvalContext& ctx, const std::string& name,
                                     const std::vector<Value>& args) const {
   auto it = fns_.find(name);
@@ -303,16 +289,6 @@ BuiltinRegistry BuiltinRegistry::Standard() {
                  std::uniform_int_distribution<int64_t> dist(0, a[0].as_int() - 1);
                  return Value(dist(*ctx.rng));
                });
-
-  // Everything above is a pure function of its arguments plus the read-only EvalContext —
-  // except the three stateful ones, which advance the engine Rng / id counter and therefore
-  // pin their rules to serial, program-order evaluation in the parallel fixpoint.
-  for (auto& [name, entry] : reg.fns_) {
-    entry.pure = true;
-  }
-  reg.MarkImpure("f_rand");
-  reg.MarkImpure("f_randint");
-  reg.MarkImpure("f_unique_id");
 
   return reg;
 }

@@ -1,8 +1,11 @@
 // Builtin function registry used in Overlog expressions.
 //
-// Builtins are pure functions of their arguments plus a read-only EvalContext carrying the
-// engine's virtual clock, local node address, and a deterministic per-engine RNG (f_now,
-// f_me, f_rand...). Programs can extend an engine's registry before installation.
+// Builtins are functions of their arguments plus an EvalContext carrying the engine's
+// virtual clock, local node address, and deterministic per-engine state (f_now, f_me,
+// f_rand...). f_rand/f_randint advance the engine Rng and f_unique_id its id counter, so
+// their results depend on evaluation order; the engine evaluates rules serially, in program
+// order, which keeps them a pure function of the seed. Programs can extend an engine's
+// registry before installation.
 
 #ifndef SRC_OVERLOG_BUILTINS_H_
 #define SRC_OVERLOG_BUILTINS_H_
@@ -37,21 +40,8 @@ class BuiltinRegistry {
   // A registry preloaded with operators and the standard function library.
   static BuiltinRegistry Standard();
 
-  // arity -1 means variadic. Re-registering a name replaces it. Registrations default to
-  // NOT pure: the parallel fixpoint serializes any rule calling an impure builtin, so an
-  // unannotated custom function is safe by default.
+  // arity -1 means variadic. Re-registering a name replaces it.
   void Register(const std::string& name, int arity, Fn fn);
-
-  // Purity = the result depends only on the arguments and the read-only parts of the
-  // EvalContext (clock, address, salt). Impure builtins (f_rand/f_randint advance the
-  // engine Rng; f_unique_id advances the id counter) must run on the engine thread, in
-  // program order, or parallel evaluation would reorder their state mutations.
-  void MarkPure(const std::string& name);
-  void MarkImpure(const std::string& name);
-  bool IsPure(const std::string& name) const {
-    auto it = fns_.find(name);
-    return it != fns_.end() && it->second.pure;
-  }
 
   bool Has(const std::string& name) const { return fns_.count(name) > 0; }
 
@@ -71,7 +61,6 @@ class BuiltinRegistry {
   struct Entry {
     int arity;
     Fn fn;
-    bool pure = false;
   };
   std::unordered_map<std::string, Entry> fns_;
 };

@@ -68,12 +68,6 @@ Engine::Engine(EngineOptions options)
   ctx_.rng = &rng_;
   ctx_.id_counter = &id_counter_;
   ctx_.id_salt = options_.id_salt.value_or(Fnv1a64(options_.address));
-  if (options_.worker_threads > 1) {
-    // Flip tuple refcounts to concurrent mode before any worker thread exists; the flag is
-    // sticky for the process, so engines created later share tuples safely with this one.
-    Tuple::EnableConcurrentMode();
-    pool_ = std::make_unique<ThreadPool>(options_.worker_threads - 1);
-  }
 }
 
 Status Engine::InstallSource(std::string_view source, std::map<std::string, Value> consts) {
@@ -197,51 +191,13 @@ Status Engine::Recompile() {
       }
     }
   };
-  // Purity analysis for the parallel fixpoint: a rule may run on a worker thread only if
-  // every builtin it can call is pure (impure ones mutate the engine Rng / id counter and
-  // must stay in program order on the engine thread).
-  std::function<bool(const Expr&)> expr_is_pure = [&](const Expr& e) -> bool {
-    if (e.kind == ExprKind::kCall) {
-      if (!builtins_.IsPure(e.fn)) {
-        return false;
-      }
-      for (const Expr& arg : e.args) {
-        if (!expr_is_pure(arg)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  auto variant_is_pure = [&](const CompiledVariant& variant) {
-    for (const CompiledStep& step : variant.steps) {
-      if (step.kind == BodyTerm::Kind::kAssign && !expr_is_pure(step.assign_expr)) {
-        return false;
-      }
-      if (step.kind == BodyTerm::Kind::kCondition && !expr_is_pure(step.condition)) {
-        return false;
-      }
-    }
-    return true;
-  };
   for (CompiledRule& rule : compiled_.rules) {
     for (CompiledVariant& variant : rule.variants) {
       resolve_variant(variant);
     }
     resolve_variant(rule.full_variant);
-    rule.parallel_safe = variant_is_pure(rule.full_variant);
-    for (const CompiledVariant& variant : rule.variants) {
-      rule.parallel_safe = rule.parallel_safe && variant_is_pure(variant);
-    }
-    for (const CompiledHeadArg& arg : rule.head_args) {
-      rule.parallel_safe = rule.parallel_safe && expr_is_pure(arg.expr);
-    }
   }
   if (options_.enable_optimizer) {
-    // Canonical shared-prefix variants probe tables too; resolve their pointers.
-    for (SharedPrefixGroup& group : compiled_.shared_prefixes) {
-      resolve_variant(group.canon);
-    }
     // Automatic index selection: build every index the chosen plans will probe, so first
     // probes inside a tick never pay a cold O(table) build.
     for (const auto& [table_name, cols] : compiled_.warm_indexes) {
@@ -339,9 +295,6 @@ std::string Engine::ExplainPlan() const {
     if (v.est_cost >= 0) {
       s += "  cost=" + fmt_est(v.est_cost);
     }
-    if (v.shared_group >= 0) {
-      s += "  shared=#" + std::to_string(v.shared_group);
-    }
     return s + "\n";
   };
   for (const CompiledRule& rule : compiled_.rules) {
@@ -362,18 +315,6 @@ std::string Engine::ExplainPlan() const {
         os << cols[i];
       }
       os << ")\n";
-    }
-  }
-  if (!compiled_.shared_prefixes.empty()) {
-    os << "shared prefixes:\n";
-    for (size_t g = 0; g < compiled_.shared_prefixes.size(); ++g) {
-      const SharedPrefixGroup& group = compiled_.shared_prefixes[g];
-      os << "  #" << g << " stratum " << group.stratum << " driver " << group.driver_table
-         << " [" << group.key << "] members:";
-      for (const SharedPrefixMember& m : group.members) {
-        os << " " << compiled_.rules[m.rule_index].name;
-      }
-      os << "\n";
     }
   }
   return os.str();
@@ -456,7 +397,7 @@ Status Engine::PublishProfile() {
   if (catalog_.Find("perf_table") == nullptr) {
     TableDef def;
     def.name = "perf_table";
-    def.columns = {"Name", "Rows", "Probes", "IndexHits", "Rebuilds"};
+    def.columns = {"Name", "Rows", "Probes", "IndexHits"};
     def.key_columns = {0};
     BOOM_RETURN_IF_ERROR(catalog_.Declare(def));
   }
@@ -466,8 +407,7 @@ Status Engine::PublishProfile() {
     BOOM_RETURN_IF_ERROR(
         Enqueue("perf_table", Tuple{Value(name), Value(static_cast<int64_t>(t.size())),
                                     Value(static_cast<int64_t>(t.probes())),
-                                    Value(static_cast<int64_t>(t.probe_hits())),
-                                    Value(static_cast<int64_t>(t.index_rebuilds()))}));
+                                    Value(static_cast<int64_t>(t.probe_hits()))}));
   }
   for (const auto& [key, p] : rule_profiles_) {
     BOOM_RETURN_IF_ERROR(Enqueue(
@@ -738,12 +678,6 @@ Engine::TickResult Engine::Tick(double now_ms) {
 
     // 4c. Semi-naive rounds over this stratum.
     std::unordered_map<std::string, size_t> cursor;  // per-table consumed prefix of tick_new_
-    // Common-subplan sharing (optimizer, serial engines only): per-round cache of canonical
-    // prefix bindings, keyed by shared-prefix group. Cleared every round — the driver delta
-    // snapshot it was computed from is per-round state.
-    const bool share_prefixes = options_.enable_optimizer && pool_ == nullptr &&
-                                !compiled_.shared_prefixes.empty();
-    std::unordered_map<int, std::vector<std::vector<Value>>> prefix_cache;
     size_t rounds = 0;
     while (true) {
       if (++rounds > options_.max_rounds_per_tick) {
@@ -764,7 +698,6 @@ Engine::TickResult Engine::Tick(double now_ms) {
         break;
       }
       ++result.rounds;
-      prefix_cache.clear();  // cached bindings are valid for one round's delta snapshot only
       // Dirty-rule worklist: only rules with a variant driven by a table that actually
       // received deltas this round, in delta_rules (program) order — the same order, and
       // the same evaluations, as the exhaustive scan, minus the rules that would have been
@@ -792,156 +725,26 @@ Engine::TickResult Engine::Tick(double now_ms) {
           dirty_worklist[i] = i;
         }
       }
-      const bool parallel_rules = pool_ != nullptr && !options_.disable_parallel_fixpoint &&
-                                  dirty_worklist.size() >= 2;
-      auto rule_at = [&](size_t w) -> const CompiledRule& {
-        return compiled_.rules[sched.delta_rules[dirty_worklist[w]]];
-      };
-      for (size_t wi = 0; wi < dirty_worklist.size();) {
-        // Grow a conflict-free batch [wi, batch_end): parallel-safe rules none of whose
-        // body tables an earlier batch member writes. Deletes apply at tick end and @next
-        // heads go to the inbox, so only plain heads count as writes; remote-capable heads
-        // count conservatively (a location arg may name this node at runtime).
-        size_t batch_end = wi + 1;
-        if (parallel_rules && rule_at(wi).parallel_safe) {
-          auto writes_table = [](const CompiledRule& r) { return !r.is_delete && !r.is_next; };
-          std::vector<const std::string*> written;
-          if (writes_table(rule_at(wi))) {
-            written.push_back(&rule_at(wi).head_table);
-          }
-          while (batch_end < dirty_worklist.size()) {
-            const CompiledRule& cand = rule_at(batch_end);
-            if (!cand.parallel_safe) {
-              break;
-            }
-            bool conflict = false;
-            for (const std::string& body : cand.body_tables) {
-              for (const std::string* w : written) {
-                if (body == *w) {
-                  conflict = true;
-                  break;
-                }
-              }
-              if (conflict) {
-                break;
-              }
-            }
-            if (conflict) {
-              break;
-            }
-            if (writes_table(cand)) {
-              written.push_back(&cand.head_table);
-            }
-            ++batch_end;
-          }
+      for (size_t pos : dirty_worklist) {
+        const CompiledRule* rule = &compiled_.rules[sched.delta_rules[pos]];
+        ProfClock::time_point t0;
+        bool evaluated = false;
+        if (profile_) {
+          t0 = ProfClock::now();
         }
-        if (batch_end - wi < 2) {
-          // Serial path: exactly the pre-parallelism per-rule code, plus (optimizer only)
-          // the shared-prefix fast path for variants in a common-subplan group.
-          const size_t rule_idx = sched.delta_rules[dirty_worklist[wi]];
-          const CompiledRule* rule = &rule_at(wi);
-          ProfClock::time_point t0;
-          bool evaluated = false;
-          if (profile_) {
-            t0 = ProfClock::now();
+        for (const CompiledVariant& variant : rule->variants) {
+          auto it = deltas.find(variant.driver_table);
+          if (it == deltas.end()) {
+            continue;
           }
-          for (size_t vi = 0; vi < rule->variants.size(); ++vi) {
-            const CompiledVariant& variant = rule->variants[vi];
-            auto it = deltas.find(variant.driver_table);
-            if (it == deltas.end()) {
-              continue;
-            }
-            if (share_prefixes && variant.shared_group >= 0 &&
-                it->second.size() >= options_.shared_prefix_min_delta_rows) {
-              const SharedPrefixGroup& group =
-                  compiled_.shared_prefixes[static_cast<size_t>(variant.shared_group)];
-              const SharedPrefixMember* member = nullptr;
-              for (const SharedPrefixMember& m : group.members) {
-                if (m.rule_index == rule_idx && m.variant_index == vi) {
-                  member = &m;
-                  break;
-                }
-              }
-              BOOM_CHECK(member != nullptr) << "shared-prefix member lookup failed";
-              auto [cached, filled] = prefix_cache.try_emplace(variant.shared_group);
-              if (filled) {
-                evaluator_.EvalPrefix(group, it->second, &cached->second);
-                ++stats_.shared_prefix_evals;
-              } else {
-                ++stats_.shared_prefix_hits;
-              }
-              evaluator_.EvalFromPrefixBindings(*rule, variant, group.prefix_steps,
-                                                member->slot_map, cached->second, &derived);
-              evaluated = true;
-              continue;
-            }
-            evaluator_.EvalFromRows(*rule, variant, it->second, &derived);
-            evaluated = true;
-          }
-          size_t produced = derived.size();
-          apply_derivations(derived);
-          if (profile_ && evaluated) {
-            RecordRuleEval(*rule, produced, prof_elapsed_us(t0), tick_tuples);
-          }
-          wi = batch_end;
-          continue;
+          evaluator_.EvalFromRows(*rule, variant, it->second, &derived);
+          evaluated = true;
         }
-        // Parallel batch. Warm every secondary index the batch will probe on this thread,
-        // so worker-side Probe calls are pure reads (tables do not mutate mid-batch: the
-        // batch is read-only by construction and application happens afterwards, here).
-        const size_t batch_size = batch_end - wi;
-        ++stats_.parallel_batches;
-        for (size_t k = 0; k < batch_size; ++k) {
-          for (const CompiledVariant& variant : rule_at(wi + k).variants) {
-            if (deltas.find(variant.driver_table) == deltas.end()) {
-              continue;
-            }
-            for (const CompiledStep& step : variant.steps) {
-              if (step.kind == BodyTerm::Kind::kAtom && step.atom.table_ptr != nullptr &&
-                  !step.atom.key_lookup) {
-                step.atom.table_ptr->WarmIndex(step.atom.probe_cols);
-              }
-            }
-          }
+        size_t produced = derived.size();
+        apply_derivations(derived);
+        if (profile_ && evaluated) {
+          RecordRuleEval(*rule, produced, prof_elapsed_us(t0), tick_tuples);
         }
-        while (worker_evaluators_.size() < batch_size) {
-          worker_evaluators_.push_back(
-              std::make_unique<Evaluator>(&catalog_, &builtins_, &ctx_));
-        }
-        // Workers fill private buffers; nothing engine-visible mutates until the ordered
-        // application below, which replays exactly what the serial loop would have done.
-        std::vector<std::vector<Derivation>> batch_derived(batch_size);
-        std::vector<char> batch_evaluated(batch_size, 0);
-        std::vector<double> batch_wall(batch_size, 0);
-        pool_->RunBatch(batch_size, [&](size_t k) {
-          const CompiledRule& rule = rule_at(wi + k);
-          Evaluator& ev = *worker_evaluators_[k];
-          ev.ClearErrors();
-          ProfClock::time_point t0;
-          if (profile_) {
-            t0 = ProfClock::now();
-          }
-          for (const CompiledVariant& variant : rule.variants) {
-            auto it = deltas.find(variant.driver_table);
-            if (it == deltas.end()) {
-              continue;
-            }
-            ev.EvalFromRows(rule, variant, it->second, &batch_derived[k]);
-            batch_evaluated[k] = 1;
-          }
-          if (profile_) {
-            batch_wall[k] = prof_elapsed_us(t0);
-          }
-        });
-        for (size_t k = 0; k < batch_size; ++k) {
-          evaluator_.MergeErrors(*worker_evaluators_[k]);
-          size_t produced = batch_derived[k].size();
-          apply_derivations(batch_derived[k]);
-          if (profile_ && batch_evaluated[k]) {
-            RecordRuleEval(rule_at(wi + k), produced, batch_wall[k], tick_tuples);
-          }
-        }
-        wi = batch_end;
       }
     }
   }

@@ -20,7 +20,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/base/thread_pool.h"
 #include "src/overlog/analyzer.h"
 #include "src/overlog/builtins.h"
 #include "src/overlog/catalog.h"
@@ -53,38 +51,21 @@ struct EngineOptions {
   // only those whose driver tables received deltas. Must derive identical fixpoints (see
   // engine_test DirtySchedulingMatchesExhaustive).
   bool disable_dirty_rule_scheduling = false;
-  // Intra-fixpoint rule parallelism: conflict-free runs of dirty rules in a fixpoint round
-  // evaluate concurrently on worker_threads-1 pool threads plus the engine thread, each
-  // into a private derivation buffer; buffers are applied in program order, so fixpoint
-  // results, send order, watch order, and profile counts are bit-identical to a serial run.
-  // 1 = serial, today's exact code path. Engines hosted by a parallel Cluster keep this at
-  // 1 — the cluster parallelizes across nodes instead of nesting pools.
-  size_t worker_threads = 1;
-  // Ablation switch (benchmarks only): keep the pool configured but evaluate every rule on
-  // the engine thread, serially.
-  bool disable_parallel_fixpoint = false;
   // Profile-guided cost-based optimizer (DESIGN.md §13). Off by default: the default path
   // compiles the classic greedy most-bound-first plans and stays byte-identical to every
   // pinned trace. When on: rule bodies are ordered by a cardinality cost model seeded from
-  // live table stats, the secondary indexes the chosen plans probe are pre-warmed after
-  // each (re)compile, and identical body prefixes across rules evaluate once per fixpoint
-  // round into a shared binding cache (serial fixpoint only). Index maintenance does not
-  // depend on this switch: key-covered probes always read the row map, and every secondary
-  // index is updated in place on each mutation. Re-planning happens deterministically at
-  // tick boundaries when observed row counts drift (see replan_* below), so runs stay
-  // byte-identical per seed.
+  // live table stats, and the secondary indexes the chosen plans probe are pre-warmed after
+  // each (re)compile. Only the plan changes: evaluation is the same serial per-rule loop
+  // either way, and index maintenance does not depend on this switch (key-covered probes
+  // always read the row map; every secondary index is updated in place on each mutation).
+  // Re-planning happens deterministically at tick boundaries when observed row counts
+  // drift (see replan_* below), so runs stay byte-identical per seed.
   bool enable_optimizer = false;
   // Re-plan at a tick boundary when some table's row count and the count recorded at plan
   // time differ by more than replan_drift_factor (and the larger side has at least
   // replan_min_rows rows — tiny tables re-order for free anyway and would thrash).
   double replan_drift_factor = 4.0;
   uint64_t replan_min_rows = 64;
-  // Shared-prefix evaluation materializes the canonical prefix bindings into a per-round
-  // cache; that only pays off when the driver delta is large enough to amortize the copy.
-  // Below this many driver rows, group members evaluate directly — the fixpoint is
-  // identical either way (enforced by the `optimizer` equivalence tests), and the decision
-  // reads only the round's delta snapshot, so it is deterministic per seed.
-  uint64_t shared_prefix_min_delta_rows = 8;
 };
 
 class Engine {
@@ -142,14 +123,7 @@ class Engine {
     uint64_t derivations = 0;
     uint64_t messages_sent = 0;
     uint64_t tuples_enqueued = 0;
-    // Conflict-free rule batches dispatched to the worker pool. Always 0 when
-    // worker_threads == 1 or disable_parallel_fixpoint is set; tests use it to prove the
-    // parallel path actually ran (a serial-vs-serial comparison proves nothing).
-    uint64_t parallel_batches = 0;
-    // Cost-based optimizer (all 0 unless enable_optimizer):
-    uint64_t replans = 0;              // drift-triggered deterministic re-plans
-    uint64_t shared_prefix_evals = 0;  // canonical prefix evaluations (cache fills)
-    uint64_t shared_prefix_hits = 0;   // member evaluations served from the cache
+    uint64_t replans = 0;  // drift-triggered deterministic re-plans (enable_optimizer only)
   };
   const Stats& stats() const { return stats_; }
 
@@ -157,8 +131,7 @@ class Engine {
   const CompiledProgram& compiled() const { return compiled_; }
 
   // Human-readable dump of the current compiled plan: per-rule variant orderings (with cost
-  // estimates under the optimizer), chosen warm indexes, and shared-prefix groups. Backs
-  // `olgrun --explain`.
+  // estimates under the optimizer) and chosen warm indexes. Backs `olgrun --explain`.
   std::string ExplainPlan() const;
 
   // --- per-rule profiling ---
@@ -194,6 +167,7 @@ class Engine {
   // Publishes the current profile into the Overlog tables
   //   perf_rule(@Program, Rule, Evals, Tuples, MaxTuplesPerTick, WallUs)  keys(0,1)
   //   perf_fixpoint(@Tick, NowMs, Rounds, Derivs, WallUs)                 keys(0)
+  //   perf_table(@Name, Rows, Probes, IndexHits)                          keys(0)
   // declaring them on first use, so monitoring rewrites and invariants can query the
   // profile like any other relation. Publication is explicit (not automatic each tick): a
   // rule that reads perf_* must not re-trigger the profiling it observes, which an
@@ -254,10 +228,6 @@ class Engine {
   std::mt19937_64 rng_;
   EvalContext ctx_;
   Evaluator evaluator_;
-  // Owned fixpoint worker pool (worker_threads > 1 only). Worker evaluators are private
-  // scratch, one per batch slot, created lazily and reused across ticks.
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<Evaluator>> worker_evaluators_;
 
   std::vector<Program> programs_;
   std::vector<AnalyzerReport> analyzer_reports_;

@@ -226,42 +226,6 @@ void Evaluator::EvalFromRows(const CompiledRule& rule, const CompiledVariant& va
   }
 }
 
-void Evaluator::EvalPrefix(const SharedPrefixGroup& group,
-                           const std::vector<Tuple>& driver_rows,
-                           std::vector<std::vector<Value>>* bindings) {
-  // The canonical prefix holds only atoms (no conditions/assignments), so JoinSteps never
-  // consults the rule's slot_of map; an empty rule satisfies the interface.
-  static const CompiledRule kPrefixRule;
-  const CompiledVariant& variant = group.canon;
-  EnsureProbeDepth(variant.steps.size());
-  std::vector<Value>& slots = slots_scratch_;
-  slots.assign(static_cast<size_t>(group.canon_num_slots), Value());
-  for (const Tuple& row : driver_rows) {
-    if (!BindAtomRow(variant.driver, row, &slots)) {
-      continue;
-    }
-    JoinSteps(kPrefixRule, variant, 0, &slots,
-              [bindings](const std::vector<Value>& s) { bindings->push_back(s); });
-  }
-}
-
-void Evaluator::EvalFromPrefixBindings(const CompiledRule& rule,
-                                       const CompiledVariant& variant, size_t prefix_steps,
-                                       const std::vector<int>& slot_map,
-                                       const std::vector<std::vector<Value>>& bindings,
-                                       std::vector<Derivation>* out) {
-  EnsureProbeDepth(variant.steps.size());
-  std::vector<Value>& slots = slots_scratch_;
-  slots.assign(static_cast<size_t>(rule.num_slots), Value());
-  for (const std::vector<Value>& binding : bindings) {
-    for (size_t c = 0; c < slot_map.size(); ++c) {
-      slots[static_cast<size_t>(slot_map[c])] = binding[c];
-    }
-    JoinSteps(rule, variant, prefix_steps, &slots,
-              [this, &rule, out](const std::vector<Value>& s) { EmitHead(rule, s, out); });
-  }
-}
-
 void Evaluator::EvalFull(const CompiledRule& rule, std::vector<Derivation>* out) {
   const CompiledVariant& variant = rule.full_variant;
   if (variant.driver_table.empty()) {

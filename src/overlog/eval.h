@@ -47,22 +47,6 @@ class Evaluator {
   // rules the body is evaluated once.
   void EvalFull(const CompiledRule& rule, std::vector<Derivation>* out);
 
-  // Common-subplan sharing (cost-based optimizer, serial fixpoint only): evaluates the
-  // group's canonical prefix (driver + kAtom steps, canonical slot numbering) over the
-  // driver delta rows, appending one canonical binding vector per satisfied prefix binding.
-  // The bindings are copies, safe to cache across member evaluations within a round.
-  void EvalPrefix(const SharedPrefixGroup& group, const std::vector<Tuple>& driver_rows,
-                  std::vector<std::vector<Value>>* bindings);
-
-  // Continues a member variant from cached canonical bindings: loads each binding into the
-  // member rule's slots via `slot_map` (canonical slot -> member slot) and runs the
-  // remaining steps [prefix_steps..). Emissions are byte-identical to EvalFromRows over the
-  // same bindings.
-  void EvalFromPrefixBindings(const CompiledRule& rule, const CompiledVariant& variant,
-                              size_t prefix_steps, const std::vector<int>& slot_map,
-                              const std::vector<std::vector<Value>>& bindings,
-                              std::vector<Derivation>* out);
-
   // Recomputes an aggregate rule from scratch: one head tuple per group.
   void EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head_rows);
 
@@ -73,17 +57,6 @@ class Evaluator {
 
   const std::vector<std::string>& errors() const { return errors_; }
   void ClearErrors() { errors_.clear(); }
-  // Parallel fixpoint: folds a worker evaluator's errors into this one, respecting the
-  // cap. Workers record into private evaluators during a rule batch; the engine merges in
-  // program order, so the combined list is byte-identical to a serial run's.
-  void MergeErrors(const Evaluator& other) {
-    for (const std::string& e : other.errors_) {
-      if (errors_.size() >= kMaxErrors) {
-        break;
-      }
-      errors_.push_back(e);
-    }
-  }
 
   // Runtime errors recorded per tick are capped: a pathological program (e.g. division by
   // zero in a hot rule) should not turn every tick into an allocation storm.

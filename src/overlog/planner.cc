@@ -571,150 +571,6 @@ class SccFinder {
   int next_component_ = 0;
 };
 
-// Serializes one atom with canonical slot numbering assigned in first-use order. Two
-// variants whose driver + leading atom runs serialize identically are structurally equal
-// modulo variable naming: same tables, same negation flags, same const positions, and the
-// same repeat/bind pattern — which also fixes every step's probe columns.
-std::string CanonAtomToken(const CompiledAtom& atom, std::unordered_map<int, int>* canon_of,
-                           int* next_canon) {
-  std::string tok = atom.negated ? "!" : "";
-  tok += atom.table;
-  tok += '(';
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    if (i > 0) {
-      tok += ',';
-    }
-    const CompiledArg& arg = atom.args[i];
-    if (arg.is_const) {
-      tok += '=';
-      tok += arg.constant.ToString();
-    } else {
-      auto [it, added] = canon_of->emplace(arg.slot, *next_canon);
-      if (added) {
-        ++(*next_canon);
-      }
-      tok += 'v';
-      tok += std::to_string(it->second);
-    }
-  }
-  tok += ')';
-  return tok;
-}
-
-// Populates CompiledProgram::shared_prefixes: per stratum, delta variants grouped by the
-// canonical serialization of (driver, first probe atom), then widened to the longest token
-// run common to every group member. Iteration is stratum-ascending with string-sorted group
-// keys and program-ordered members, so group numbering is deterministic.
-void DetectSharedPrefixes(CompiledProgram* out) {
-  for (int s = 0; s < out->num_strata; ++s) {
-    const StratumSchedule& sched = out->schedule[static_cast<size_t>(s)];
-    struct Cand {
-      size_t rule;
-      size_t variant;
-      std::vector<std::string> tokens;
-    };
-    std::map<std::string, std::vector<Cand>> by_key;
-    for (size_t ri : sched.delta_rules) {
-      const CompiledRule& cr = out->rules[ri];
-      for (size_t vi = 0; vi < cr.variants.size(); ++vi) {
-        const CompiledVariant& v = cr.variants[vi];
-        std::unordered_map<int, int> canon;
-        int next = 0;
-        std::vector<std::string> toks;
-        toks.push_back(CanonAtomToken(v.driver, &canon, &next));
-        for (const CompiledStep& st : v.steps) {
-          if (st.kind != BodyTerm::Kind::kAtom) {
-            break;
-          }
-          toks.push_back(CanonAtomToken(st.atom, &canon, &next));
-        }
-        if (toks.size() < 2) {
-          continue;
-        }
-        by_key[toks[0] + "|" + toks[1]].push_back(Cand{ri, vi, std::move(toks)});
-      }
-    }
-    for (auto& [key, cands] : by_key) {
-      if (cands.size() < 2) {
-        continue;
-      }
-      size_t common = cands[0].tokens.size();
-      for (const Cand& c : cands) {
-        size_t m = 0;
-        while (m < common && m < c.tokens.size() && c.tokens[m] == cands[0].tokens[m]) {
-          ++m;
-        }
-        common = m;
-      }
-      SharedPrefixGroup g;
-      g.stratum = s;
-      g.prefix_steps = common - 1;  // >= 1: the 2-token key guarantees common >= 2
-      const CompiledVariant& first = out->rules[cands[0].rule].variants[cands[0].variant];
-      g.driver_table = first.driver_table;
-      std::unordered_map<int, int> canon;
-      int next = 0;
-      auto canonicalize = [&canon, &next](const CompiledAtom& a) {
-        CompiledAtom ca = a;
-        ca.table_ptr = nullptr;  // re-resolved by Engine::Recompile
-        for (CompiledArg& arg : ca.args) {
-          if (!arg.is_const) {
-            auto [it, added] = canon.emplace(arg.slot, next);
-            if (added) {
-              ++next;
-            }
-            arg.slot = it->second;
-          }
-        }
-        return ca;
-      };
-      g.canon.driver_table = first.driver_table;
-      g.canon.driver = canonicalize(first.driver);
-      for (size_t k = 0; k < g.prefix_steps; ++k) {
-        CompiledStep st;
-        st.kind = BodyTerm::Kind::kAtom;
-        st.atom = canonicalize(first.steps[k].atom);
-        g.canon.steps.push_back(std::move(st));
-      }
-      g.canon_num_slots = next;
-      for (size_t t = 0; t < common; ++t) {
-        if (t > 0) {
-          g.key += " & ";
-        }
-        g.key += cands[0].tokens[t];
-      }
-      for (const Cand& c : cands) {
-        SharedPrefixMember m;
-        m.rule_index = c.rule;
-        m.variant_index = c.variant;
-        m.slot_map.assign(static_cast<size_t>(g.canon_num_slots), -1);
-        std::unordered_map<int, int> member_canon;
-        int member_next = 0;
-        auto walk = [&m, &member_canon, &member_next](const CompiledAtom& a) {
-          for (const CompiledArg& arg : a.args) {
-            if (arg.is_const) {
-              continue;
-            }
-            auto [it, added] = member_canon.emplace(arg.slot, member_next);
-            if (added) {
-              m.slot_map[static_cast<size_t>(it->second)] = arg.slot;
-              ++member_next;
-            }
-          }
-        };
-        const CompiledVariant& mv = out->rules[c.rule].variants[c.variant];
-        walk(mv.driver);
-        for (size_t k = 0; k < g.prefix_steps; ++k) {
-          walk(mv.steps[k].atom);
-        }
-        out->rules[c.rule].variants[c.variant].shared_group =
-            static_cast<int>(out->shared_prefixes.size());
-        g.members.push_back(std::move(m));
-      }
-      out->shared_prefixes.push_back(std::move(g));
-    }
-  }
-}
-
 }  // namespace
 
 Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
@@ -897,8 +753,6 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
       }
     }
     out.warm_indexes.assign(warm.begin(), warm.end());
-
-    DetectSharedPrefixes(&out);
   }
   return out;
 }

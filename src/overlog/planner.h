@@ -37,9 +37,8 @@ struct TableStats {
 // byte-identical to the greedy most-bound-first ordering this repo has always produced.
 struct PlannerOptions {
   // When true: rule bodies are ordered by the cardinality/selectivity cost model (exhaustive
-  // permutation enumeration up to 6 positive atoms, cost-greedy beyond), warm_indexes and
-  // shared_prefixes are populated, and per-step cost estimates are recorded for
-  // `olgrun --explain`.
+  // permutation enumeration up to 6 positive atoms, cost-greedy beyond), warm_indexes is
+  // populated, and per-step cost estimates are recorded for `olgrun --explain`.
   bool cost_based = false;
   std::unordered_map<std::string, TableStats> stats;  // table name -> observed stats
 };
@@ -88,9 +87,6 @@ struct CompiledVariant {
   // Cost-based planning only: total estimated cost (sum of intermediate binding counts
   // across positive-atom steps; -1 = planned greedily without a cost model).
   double est_cost = -1;
-  // Index into CompiledProgram::shared_prefixes when this variant is a member of a
-  // common-subplan group (-1 otherwise). Filled only under cost-based planning.
-  int shared_group = -1;
 };
 
 struct CompiledHeadArg {
@@ -131,11 +127,6 @@ struct CompiledRule {
   // (single-atom body over an insert-only persistent set-semantics table; no bottomk, no
   // remote head). Keeps audit-style rollups O(delta) instead of O(table) per tick.
   bool incremental_agg = false;
-  // Every builtin the rule calls (head args, assignments, conditions) is pure, so its
-  // evaluation can run on a worker thread without reordering engine state mutations.
-  // Filled by Engine::Recompile (the planner has no builtin registry); rules calling
-  // f_rand/f_randint/f_unique_id or unannotated custom builtins stay on the engine thread.
-  bool parallel_safe = false;
 };
 
 // Per-stratum evaluation schedule, built once at compile time so Engine::Tick neither
@@ -153,32 +144,6 @@ struct StratumSchedule {
   std::unordered_map<std::string, std::vector<size_t>> delta_rules_by_driver;
 };
 
-// Common-subplan sharing (cost-based planning only): several delta variants in one stratum,
-// driven by the same table, whose driver atom plus leading run of kAtom steps are
-// structurally identical modulo variable naming. The canonical prefix is evaluated once per
-// fixpoint round into a shared binding cache; each member then continues its remaining
-// steps from the cached bindings (serial evaluation path only — the parallel fixpoint
-// bypasses sharing). Mid-round inserts into prefix-probed tables that a later member would
-// have seen without sharing are recovered on the next round by that member's variant driven
-// by the mutated table, so the fixpoint is unchanged (DESIGN.md §13).
-struct SharedPrefixMember {
-  size_t rule_index = 0;      // into CompiledProgram::rules
-  size_t variant_index = 0;   // into rules[rule_index].variants
-  std::vector<int> slot_map;  // canonical slot -> member rule slot
-};
-
-struct SharedPrefixGroup {
-  std::string driver_table;
-  int stratum = 0;
-  size_t prefix_steps = 0;  // kAtom steps after the driver in the prefix (>= 1)
-  // Driver + prefix steps with canonical slot numbering (first-use order). All slots in
-  // [0, canon_num_slots) are bound after the prefix.
-  CompiledVariant canon;
-  int canon_num_slots = 0;
-  std::vector<SharedPrefixMember> members;  // >= 2, program order
-  std::string key;  // human-readable serialization (for --explain / olglint advisories)
-};
-
 struct CompiledProgram {
   std::vector<CompiledRule> rules;
   int num_strata = 1;
@@ -189,7 +154,6 @@ struct CompiledProgram {
   // deduped (key lookups need none); the engine warms these via Table::WarmIndex right
   // after a successful recompile so first probes inside a tick never pay a cold build.
   std::vector<std::pair<std::string, std::vector<size_t>>> warm_indexes;
-  std::vector<SharedPrefixGroup> shared_prefixes;
 };
 
 // Compiles `rules` (typically the union of all installed programs) against tables already

@@ -139,12 +139,12 @@ std::vector<Tuple> Table::Rows() const {
 }
 
 const Tuple* Table::ProbeKey(const TupleView& key) {
-  probes_.fetch_add(1, std::memory_order_relaxed);
+  ++probes_;
   auto it = rows_.find(key);
   if (it == rows_.end()) {
     return nullptr;
   }
-  probe_hits_.fetch_add(1, std::memory_order_relaxed);
+  ++probe_hits_;
   return &it->second;
 }
 
@@ -163,24 +163,24 @@ const Index& Table::GetIndex(const std::vector<size_t>& cols) {
 const std::vector<const Tuple*>& Table::Probe(const std::vector<size_t>& cols,
                                               const Tuple& probe) {
   const Index& index = GetIndex(cols);
-  probes_.fetch_add(1, std::memory_order_relaxed);
+  ++probes_;
   auto it = index.find(probe);
   if (it == index.end()) {
     return empty_result_;
   }
-  probe_hits_.fetch_add(1, std::memory_order_relaxed);
+  ++probe_hits_;
   return it->second;
 }
 
 const std::vector<const Tuple*>& Table::Probe(const std::vector<size_t>& cols,
                                               const TupleView& probe) {
   const Index& index = GetIndex(cols);
-  probes_.fetch_add(1, std::memory_order_relaxed);
+  ++probes_;
   auto it = index.find(probe);
   if (it == index.end()) {
     return empty_result_;
   }
-  probe_hits_.fetch_add(1, std::memory_order_relaxed);
+  ++probe_hits_;
   return it->second;
 }
 

@@ -18,7 +18,6 @@
 #ifndef SRC_OVERLOG_TABLE_H_
 #define SRC_OVERLOG_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -115,8 +114,7 @@ class Table {
 
   // Builds the secondary index on `cols` now if it does not exist yet. Once built, an index
   // stays current through every mutation, so later Probe(cols, ...) calls are pure reads.
-  // The parallel fixpoint warms every index a rule batch will probe on the engine thread
-  // before dispatching workers.
+  // The optimizer warms every index its plans will probe right after a (re)compile.
   void WarmIndex(const std::vector<size_t>& cols) { GetIndex(cols); }
 
   // Generation token for probe-result validity: changes on every mutation that can move or
@@ -140,12 +138,13 @@ class Table {
   uint64_t DistinctCount(size_t col) const;
 
   // Runtime counters for perf_table / the metrics registry, covering both probe paths.
-  // Atomic (relaxed) because the parallel fixpoint probes from worker threads.
-  uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
-  uint64_t probe_hits() const { return probe_hits_.load(std::memory_order_relaxed); }
+  // Plain integers: a table belongs to one engine, and a parallel Cluster runs each engine
+  // on one thread at a time.
+  uint64_t probes() const { return probes_; }
+  uint64_t probe_hits() const { return probe_hits_; }
   // Full rebuilds of an already-built index. Indexes are maintained in place, so this is
-  // always 0; it stays as the perf_table Rebuilds column and engine.table.*.index_rebuilds
-  // gauge that index-churn monitors read.
+  // always 0. Kept only because the system benchmark (bench/system) still reads it for its
+  // table.index_rebuilds_per_op row; delete it with the next change to that benchmark.
   uint64_t index_rebuilds() const { return 0; }
 
  private:
@@ -171,8 +170,8 @@ class Table {
   uint64_t version_ = 0;
   std::vector<const Tuple*> empty_result_;
   std::vector<Value> project_scratch_;
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> probe_hits_{0};
+  uint64_t probes_ = 0;
+  uint64_t probe_hits_ = 0;
 };
 
 }  // namespace boom

@@ -13,9 +13,9 @@
 // (single-threaded) mode it is manipulated with plain relaxed load/store pairs — the
 // compiler emits the same unsynchronized increment the engine has always paid, so serial
 // performance is unchanged. Tuple::EnableConcurrentMode() flips a sticky process-wide flag
-// that switches refcounting to real fetch_add/fetch_sub; the thread pools' owners (parallel
-// Cluster / parallel Engine) enable it in their constructors, strictly before any worker
-// thread exists, so every tuple that can cross threads is counted atomically. The lazy hash
+// that switches refcounting to real fetch_add/fetch_sub; only a parallel Cluster enables it,
+// in its constructor, strictly before any worker thread exists, so every tuple that can
+// cross threads is counted atomically. An Engine never spawns threads of its own. The lazy hash
 // cache uses release/acquire atomics unconditionally (free on x86): concurrent readers may
 // both compute the hash, but they compute the same value, so the race is benign and clean
 // under TSan.

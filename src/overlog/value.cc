@@ -11,7 +11,7 @@ namespace boom {
 
 namespace {
 
-// Per-process string interner, sharded by hash so parallel fixpoint workers missing their
+// Per-process string interner, sharded by hash so parallel cluster workers missing their
 // thread-local caches at the same instant contend on 1/16th of a lock each instead of one
 // global mutex. Entries are weakly held: the last Value handle's destructor removes the
 // entry (via the shared_ptr deleter), so long-lived engines do not accumulate strings for

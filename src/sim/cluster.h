@@ -99,7 +99,7 @@ struct ClusterOptions {
   // only engine-local state or thread-safe sinks (the telemetry registry qualifies).
   size_t worker_threads = 1;
   // Enable the cost-based optimizer on every hosted engine (join reordering, index
-  // warming, shared prefixes, tick-boundary re-planning). Off by default: the optimizer
+  // warming, tick-boundary re-planning). Off by default: the optimizer
   // preserves fixpoints but may change derivation order, so the seed-pinned chaos traces
   // are recorded against the greedy planner.
   bool enable_engine_optimizer = false;

@@ -56,6 +56,7 @@ TEST(AnalyzerTest, CleanProgramPasses) {
   // The recursive join probes reach on its first column, which the (whole-row) key does
   // not cover — the advisory tier points that out without failing anything.
   ASSERT_EQ(report.diagnostics.size(), 1u) << report.ToString();
+  EXPECT_EQ(report.num_advisories(), 1u);
   EXPECT_EQ(report.diagnostics[0].code, "wants-index");
   EXPECT_EQ(report.diagnostics[0].severity, DiagnosticSeverity::kAdvisory);
 
@@ -425,30 +426,6 @@ TEST(AnalyzerTest, WantsIndexAdvisory) {
     watch sink;
   )");
   EXPECT_EQ(CountCode(AnalyzeProgram(keyed, lax), "wants-index"), 0u);
-}
-
-TEST(AnalyzerTest, SharedPrefixAdvisory) {
-  Program p = MustParse(R"(
-    program t;
-    table job(JobId, User) keys(0);
-    table task(JobId, TaskId) keys(0, 1);
-    table s1(User, TaskId);
-    table s2(TaskId);
-    j3 s1(U, T) :- job(J, U), task(J, T);
-    j7 s2(T) :- job(J, U), task(J, T), U != "root";
-    watch s1;
-    watch s2;
-  )");
-  AnalyzerReport report = AnalyzeProgram(p);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-  const Diagnostic* d = FindCode(report, "shared-prefix");
-  ASSERT_NE(d, nullptr) << report.ToString();
-  EXPECT_EQ(d->severity, DiagnosticSeverity::kAdvisory);
-  EXPECT_NE(d->message.find("rules j3/j7 share a 2-atom prefix"), std::string::npos)
-      << d->message;
-  // Advisories are excluded from the warning count and sort after warnings.
-  EXPECT_EQ(report.num_warnings(), 0u);
-  EXPECT_EQ(report.num_advisories(), report.diagnostics.size());
 }
 
 TEST(AnalyzerTest, AllProblemsReportedAtOnce) {

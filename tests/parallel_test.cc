@@ -1,6 +1,7 @@
 // Parallel execution determinism tests: the multi-core paths (cluster tick batching,
-// intra-fixpoint rule parallelism, atomic tuple refcounts, the sharded interner) must be
-// bit-identical to serial execution. A parallel run that differs from serial by one byte
+// atomic tuple refcounts, the sharded interner) must be bit-identical to serial execution.
+// Parallelism lives only in the Cluster, which ticks whole engines on pool threads; an
+// engine's own fixpoint is always serial. A parallel run that differs from serial by one byte
 // of trace or one derivation is a bug, full stop — reproducibility-from-seed is the
 // architecture's core invariant and speed never gets to trade against it.
 //
@@ -12,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,296 +69,6 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, ParallelTraceDeterminism,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
-
-// ---------------------------------------------------------------------------
-// Engine fixpoints: parallel rule evaluation matches serial, observable by observable
-// ---------------------------------------------------------------------------
-
-struct EngineWorkload {
-  std::string name;
-  std::vector<std::string> sources;
-  std::vector<std::string> watch_tables;
-  // ticks[t] = tuples enqueued before the tick at virtual time t+1.
-  std::vector<std::vector<std::pair<std::string, Tuple>>> ticks;
-};
-
-// Every engine-visible output of a run, minus wall-clock times (inherently noisy even
-// between two serial runs).
-struct RunSummary {
-  std::vector<std::string> tables;
-  std::vector<std::string> sends;      // in send order
-  std::vector<std::string> errors;     // in record order
-  std::vector<std::string> watch_log;  // in firing order
-  uint64_t derivations = 0;
-  uint64_t parallel_batches = 0;
-  std::string profile;  // evals/tuples/max per rule, sorted by key
-
-  bool SameObservables(const RunSummary& other) const {
-    return tables == other.tables && sends == other.sends && errors == other.errors &&
-           watch_log == other.watch_log && derivations == other.derivations &&
-           profile == other.profile;
-  }
-};
-
-RunSummary RunEngineWorkload(const EngineWorkload& w, size_t threads,
-                             bool disable_parallel = false) {
-  EngineOptions opts;
-  opts.address = "n";
-  opts.seed = 7;
-  opts.worker_threads = threads;
-  opts.disable_parallel_fixpoint = disable_parallel;
-  Engine engine(opts);
-  RunSummary out;
-  for (const std::string& src : w.sources) {
-    Status s = engine.InstallSource(src);
-    EXPECT_TRUE(s.ok()) << w.name << ": " << s.ToString();
-  }
-  for (const std::string& table : w.watch_tables) {
-    engine.AddWatch(table, [&out](const std::string& t, const Tuple& row, bool inserted) {
-      out.watch_log.push_back((inserted ? "+" : "-") + t + row.ToString());
-    });
-  }
-  engine.EnableProfiling();
-  Engine::TickResult r = engine.Tick(0);
-  out.derivations += r.derivations;
-  auto absorb = [&out](const Engine::TickResult& result) {
-    for (const Engine::Send& send : result.sends) {
-      out.sends.push_back(send.dest + "/" + send.table + send.tuple.ToString());
-    }
-    for (const std::string& err : result.errors) {
-      out.errors.push_back(err);
-    }
-  };
-  absorb(r);
-  double now = 1;
-  for (const auto& tick : w.ticks) {
-    for (const auto& [table, tuple] : tick) {
-      Status s = engine.Enqueue(table, tuple);
-      EXPECT_TRUE(s.ok()) << w.name << ": " << s.ToString();
-    }
-    r = engine.Tick(now);
-    out.derivations += r.derivations;
-    absorb(r);
-    // Drain deferred @next tuples at the same virtual time, as a host loop would.
-    while (engine.HasQueuedInput()) {
-      r = engine.Tick(now);
-      out.derivations += r.derivations;
-      absorb(r);
-    }
-    now += 1;
-  }
-  for (const std::string& name : engine.catalog().TableNames()) {
-    std::vector<Tuple> rows = engine.catalog().Get(name).Rows();
-    std::sort(rows.begin(), rows.end());
-    for (const Tuple& row : rows) {
-      out.tables.push_back(name + row.ToString());
-    }
-  }
-  for (const auto& [key, p] : engine.rule_profiles()) {
-    out.profile += key + " evals=" + std::to_string(p.evals) +
-                   " tuples=" + std::to_string(p.tuples) +
-                   " max=" + std::to_string(p.max_tuples_per_tick) + "\n";
-  }
-  out.parallel_batches = engine.stats().parallel_batches;
-  return out;
-}
-
-std::vector<EngineWorkload> GoldenWorkloads() {
-  std::vector<EngineWorkload> workloads;
-
-  // Recursive fixpoint: r1/r2 conflict on reach, so batches stay serial — the batcher
-  // must recognize the read-after-write hazard and fall back without changing anything.
-  {
-    EngineWorkload w;
-    w.name = "transitive_closure";
-    w.sources.push_back(R"(
-      program tc;
-      table link(X, Y);
-      table reach(X, Y);
-      r1 reach(X, Y) :- link(X, Y);
-      r2 reach(X, Z) :- link(X, Y), reach(Y, Z);
-    )");
-    std::vector<std::pair<std::string, Tuple>> tick;
-    for (int i = 0; i < 24; ++i) {
-      tick.emplace_back("link", Tuple{Value("n" + std::to_string(i)),
-                                      Value("n" + std::to_string(i + 1))});
-    }
-    w.ticks.push_back(tick);
-    w.watch_tables = {"reach"};
-    workloads.push_back(std::move(w));
-  }
-
-  // Independent rule families: the batcher's bread and butter — wide conflict-free
-  // batches, every family evaluated on a worker, applied in program order.
-  {
-    EngineWorkload w;
-    w.name = "independent_families";
-    std::string src = "program fam;\n";
-    for (int f = 0; f < 12; ++f) {
-      std::string n = std::to_string(f);
-      src += "table in" + n + "(K, V) keys(0);\n";
-      src += "table out" + n + "(K, V) keys(0);\n";
-      src += "c" + n + " out" + n + "(K, V) :- in" + n + "(K, V);\n";
-    }
-    w.sources.push_back(src);
-    for (int t = 0; t < 6; ++t) {
-      std::vector<std::pair<std::string, Tuple>> tick;
-      for (int f = 0; f < 12; ++f) {
-        tick.emplace_back("in" + std::to_string(f),
-                          Tuple{Value("k" + std::to_string(t % 3)),
-                                Value("v" + std::to_string(t) + "_" + std::to_string(f))});
-      }
-      w.ticks.push_back(tick);
-    }
-    w.watch_tables = {"out0", "out7"};
-    workloads.push_back(std::move(w));
-  }
-
-  // Impure builtins interleaved with pure families: f_randint/f_unique_id rules are
-  // pinned to the engine thread in program order, so the Rng and id streams — and with
-  // them the derived values — must be byte-identical to serial.
-  {
-    EngineWorkload w;
-    w.name = "impure_mix";
-    w.sources.push_back(R"(
-      program mix;
-      table ain(K) keys(0);
-      table aout(K, R) keys(0);
-      table bin(K) keys(0);
-      table bout(K, V) keys(0);
-      table cin(K) keys(0);
-      table cout(K, I) keys(0);
-      ra aout(K, R) :- ain(K), R := f_randint(1000000);
-      rb bout(K, V) :- bin(K), V := K + 1;
-      rc cout(K, I) :- cin(K), I := f_unique_id();
-    )");
-    for (int t = 0; t < 5; ++t) {
-      std::vector<std::pair<std::string, Tuple>> tick;
-      tick.emplace_back("ain", Tuple{Value(int64_t{t})});
-      tick.emplace_back("bin", Tuple{Value(int64_t{t})});
-      tick.emplace_back("cin", Tuple{Value(int64_t{t})});
-      w.ticks.push_back(tick);
-    }
-    workloads.push_back(std::move(w));
-  }
-
-  // Deletes, @next deferral, negation, and an aggregate rollup — the non-insert head
-  // kinds, whose effects are deferred (tick end / next tick) and so are write-free for
-  // conflict purposes.
-  {
-    EngineWorkload w;
-    w.name = "deletes_next_agg";
-    w.sources.push_back(R"(
-      program dna;
-      table reg(K, V) keys(0);
-      table tomb(K) keys(0);
-      table alive(K) keys(0);
-      table total(G, N) keys(0);
-      d1 delete reg(K, V) :- tomb(K), reg(K, V);
-      n1 alive(K)@next :- reg(K, V);
-      g1 total(1, count<K>) :- reg(K, V);
-    )");
-    for (int t = 0; t < 4; ++t) {
-      std::vector<std::pair<std::string, Tuple>> tick;
-      tick.emplace_back("reg", Tuple{Value("k" + std::to_string(t)), Value(int64_t{t})});
-      tick.emplace_back("reg",
-                        Tuple{Value("p" + std::to_string(t)), Value(int64_t{t + 10})});
-      if (t == 2) {
-        tick.emplace_back("tomb", Tuple{Value("k0")});
-        tick.emplace_back("tomb", Tuple{Value("p1")});
-      }
-      w.ticks.push_back(tick);
-    }
-    w.watch_tables = {"reg", "alive"};
-    workloads.push_back(std::move(w));
-  }
-
-  // Remote heads from several independent rules: send order (and within-tick send dedup)
-  // is part of the observable contract — the cluster schedules deliveries in that order.
-  {
-    EngineWorkload w;
-    w.name = "remote_sends";
-    std::string src = "program remote;\n";
-    for (int f = 0; f < 6; ++f) {
-      std::string n = std::to_string(f);
-      src += "table route" + n + "(Dst, K) keys(0, 1);\n";
-      src += "table ship" + n + "(Dst, K) keys(0, 1);\n";
-      src += "s" + n + " ship" + n + "(@Dst, K) :- route" + n + "(Dst, K);\n";
-    }
-    w.sources.push_back(src);
-    for (int t = 0; t < 3; ++t) {
-      std::vector<std::pair<std::string, Tuple>> tick;
-      for (int f = 0; f < 6; ++f) {
-        tick.emplace_back("route" + std::to_string(f),
-                          Tuple{Value("peer" + std::to_string(f % 2)),
-                                Value(int64_t{t})});
-        // Duplicate route rows exercise the within-tick send dedup.
-        tick.emplace_back("route" + std::to_string(f),
-                          Tuple{Value("peer" + std::to_string(f % 2)), Value(int64_t{0})});
-      }
-      w.ticks.push_back(tick);
-    }
-    workloads.push_back(std::move(w));
-  }
-
-  // Runtime errors (division by zero) from several independent families: worker-private
-  // error buffers must merge in program order and respect the serial cap.
-  {
-    EngineWorkload w;
-    w.name = "error_merge";
-    std::string src = "program err;\n";
-    for (int f = 0; f < 4; ++f) {
-      std::string n = std::to_string(f);
-      src += "table ein" + n + "(K) keys(0);\n";
-      src += "table eout" + n + "(K, Y) keys(0);\n";
-      src += "e" + n + " eout" + n + "(K, Y) :- ein" + n + "(K), Y := 10 / (K - K);\n";
-    }
-    w.sources.push_back(src);
-    for (int t = 0; t < 2; ++t) {
-      std::vector<std::pair<std::string, Tuple>> tick;
-      for (int f = 0; f < 4; ++f) {
-        tick.emplace_back("ein" + std::to_string(f), Tuple{Value(int64_t{t})});
-      }
-      w.ticks.push_back(tick);
-    }
-    workloads.push_back(std::move(w));
-  }
-
-  return workloads;
-}
-
-TEST(ParallelFixpoint, MatchesSerialOnGoldenPrograms) {
-  for (const EngineWorkload& w : GoldenWorkloads()) {
-    RunSummary serial = RunEngineWorkload(w, 1);
-    EXPECT_EQ(serial.parallel_batches, 0u) << w.name;
-    for (size_t threads : {size_t{2}, size_t{4}}) {
-      RunSummary parallel = RunEngineWorkload(w, threads);
-      EXPECT_TRUE(serial.SameObservables(parallel))
-          << w.name << " diverged at " << threads << " threads:\n  serial tables="
-          << serial.tables.size() << " sends=" << serial.sends.size()
-          << " derivations=" << serial.derivations << "\n  parallel tables="
-          << parallel.tables.size() << " sends=" << parallel.sends.size()
-          << " derivations=" << parallel.derivations;
-    }
-    // The ablation switch must also be a no-op on observables.
-    RunSummary ablated = RunEngineWorkload(w, 4, /*disable_parallel=*/true);
-    EXPECT_TRUE(serial.SameObservables(ablated)) << w.name << " ablation diverged";
-    EXPECT_EQ(ablated.parallel_batches, 0u) << w.name;
-  }
-}
-
-// The parallel engine must actually take the batched path on batchable programs —
-// otherwise MatchesSerial is vacuously comparing serial to serial.
-TEST(ParallelFixpoint, BatchesActuallyDispatch) {
-  for (const EngineWorkload& w : GoldenWorkloads()) {
-    if (w.name != "independent_families") {
-      continue;
-    }
-    RunSummary parallel = RunEngineWorkload(w, 4);
-    EXPECT_GT(parallel.parallel_batches, 0u)
-        << "independent families never formed a parallel batch";
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Cluster-level batching on a plain (non-chaos) cluster

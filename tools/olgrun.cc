@@ -31,12 +31,10 @@ void Usage() {
                "  --dump LIST  dump only these tables at exit (default: all non-empty)\n"
                "  --trace      install the metaprogrammed tracing rewrite (trace_* tables)\n"
                "  --profile    per-rule profile: evals, tuples, wall time per rule\n"
-               "  --threads N  parallel fixpoint worker threads (default 1 = serial);\n"
-               "               results are bit-identical at any thread count\n"
                "  --optimize   enable the cost-based optimizer (join reordering, index\n"
-               "               warming, shared prefixes, tick-boundary re-planning)\n"
+               "               warming, tick-boundary re-planning)\n"
                "  --explain    print the compiled plan (join orders, cost estimates,\n"
-               "               warm indexes, shared prefixes) after install and at exit\n"
+               "               warm indexes) after install and at exit\n"
                "  --check      analyze only (strict): print diagnostics, do not run\n");
 }
 
@@ -78,14 +76,11 @@ int main(int argc, char** argv) {
   bool check_only = false;
   bool optimize = false;
   bool explain = false;
-  size_t threads = 1;
   std::vector<std::string> dump_tables;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--until" && i + 1 < argc) {
       until_ms = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<size_t>(std::max(1L, std::strtol(argv[++i], nullptr, 10)));
     } else if (arg == "--dump" && i + 1 < argc) {
       dump_tables = boom::StrSplitSkipEmpty(argv[++i], ',');
     } else if (arg == "--trace") {
@@ -154,7 +149,6 @@ int main(int argc, char** argv) {
 
   boom::EngineOptions options;
   options.address = "olgrun";
-  options.worker_threads = threads;
   options.enable_optimizer = optimize;
   boom::Engine engine(options);
   boom::Status status = engine.Install(*built);
