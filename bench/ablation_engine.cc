@@ -6,8 +6,6 @@
 //   B. no incremental aggs    — rollups recompute from scratch whenever inputs change
 //   C. no version skip        — every aggregate recomputes every tick, changed or not
 //   E. no dirty-rule sched    — fixpoint rounds scan every rule, changed driver or not
-//   F. cost-based optimizer   — A plus profile-guided re-planning (DESIGN.md §13); the
-//                               one config that adds a mechanism instead of removing one
 //
 // B, C and E each turn an O(delta) mechanism back into an O(state) (or O(rules)) one, so
 // their cost grows with the run; the full engine's cost stays flat. This is the engineering
@@ -30,14 +28,12 @@ namespace {
 
 constexpr int kOps = 1200;
 
-double RunConfig(bool incremental_aggs, bool version_skip, bool dirty_rules,
-                 bool optimizer = false) {
+double RunConfig(bool incremental_aggs, bool version_skip, bool dirty_rules) {
   EngineOptions opts;
   opts.address = "nn";
   opts.disable_incremental_aggregates = !incremental_aggs;
   opts.disable_aggregate_version_skip = !version_skip;
   opts.disable_dirty_rule_scheduling = !dirty_rules;
-  opts.enable_optimizer = optimizer;
   Engine engine(opts);
   Program nn_program = BoomFsNnProgram();
   BOOM_CHECK(engine.Install(nn_program).ok());
@@ -84,16 +80,12 @@ int main(int argc, char** argv) {
     const char* label;
     const char* key;  // JSON workload name
     bool inc_agg, version_skip, dirty_rules;
-    bool optimizer = false;
   };
-  // F is A plus the cost-based optimizer — the one config that ADDS a mechanism instead of
-  // removing one.
   const Config configs[] = {
       {"A. full engine", "full_engine", true, true, true},
       {"B. no incremental aggregates", "no_incremental_aggregates", false, true, true},
       {"C. no aggregate version-skip", "no_aggregate_version_skip", false, false, true},
       {"E. no dirty-rule scheduling", "no_dirty_rule_scheduling", true, true, false},
-      {"F. cost-based optimizer on", "cost_based_optimizer", true, true, true, true},
   };
 
   if (!json) {
@@ -112,8 +104,7 @@ int main(int argc, char** argv) {
   for (const Config& config : configs) {
     double ms = 0;
     for (int rep = 0; rep < kReps; ++rep) {
-      double run_ms = RunConfig(config.inc_agg, config.version_skip, config.dirty_rules,
-                                config.optimizer);
+      double run_ms = RunConfig(config.inc_agg, config.version_skip, config.dirty_rules);
       if (rep == 0 || run_ms < ms) {
         ms = run_ms;
       }

@@ -517,150 +517,6 @@ WorkloadResult RunScalingChurnHeavy(size_t threads) {
   });
 }
 
-// ---------------------------------------------------------------------------
-// --json --optimizer: cost-based optimizer ablation (off vs on)
-// ---------------------------------------------------------------------------
-//
-// Each workload runs twice — EngineOptions::enable_optimizer false then true — and the
-// pair lands in BENCH_engine.json as {off_ns_per_op, on_ns_per_op, speedup}. The fixpoints
-// are identical either way (enforced by the `optimizer` ctest label); only the plans and
-// index warming differ. check_bench.py gates both sides, so a regression on the greedy
-// baseline cannot hide behind an optimizer win (or vice versa).
-
-struct AblationResult {
-  WorkloadResult off;
-  WorkloadResult on;
-};
-
-// join_heavy: a selective three-way join where greedy order is maximally wrong. Body order
-// puts the fat relation first (`big` has 100 rows per driver key), while `small` covers
-// only one key in ten — so the greedy plan probes big and then pays 100 small-probes per
-// event, almost all missing, where the cost-based plan (after the drift re-plan harvests
-// live stats) probes small first and usually stops after one miss.
-WorkloadResult RunOptimizerJoinHeavy(bool optimize) {
-  constexpr int kKeys = 50;       // driver key space
-  constexpr int kFanout = 100;    // big rows per key
-  constexpr int kSmallEvery = 10; // small covers 1 key in 10
-  constexpr int kTicks = 60;
-  constexpr int kEventsPerTick = 40;
-  return BestOf([optimize] {
-    EngineOptions opts;
-    opts.address = "n";
-    opts.enable_optimizer = optimize;
-    Engine engine(opts);
-    BOOM_CHECK(engine
-                   .InstallSource(R"(
-      program sel;
-      event probe(U);
-      table big(U, N);
-      table small(U, S) keys(0);
-      table out(U, N, S);
-      r1 out(U, N, S) :- probe(U), big(U, N), small(U, S), S == 1;
-    )")
-                   .ok());
-    engine.Tick(0);
-    for (int u = 0; u < kKeys; ++u) {
-      for (int n = 0; n < kFanout; ++n) {
-        BOOM_CHECK(engine.Enqueue("big", Tuple{Value(u), Value(n)}).ok());
-      }
-      if (u % kSmallEvery == 0) {
-        BOOM_CHECK(engine.Enqueue("small", Tuple{Value(u), Value(1)}).ok());
-      }
-    }
-    engine.Tick(1);  // applies the rows
-    engine.Tick(2);  // optimizer: drift detected here, re-plan against live stats
-    int64_t events = 0;
-    double now = 3;
-    auto t0 = BenchClock::now();
-    for (int t = 0; t < kTicks; ++t) {
-      for (int e = 0; e < kEventsPerTick; ++e) {
-        BOOM_CHECK(engine.Enqueue("probe", Tuple{Value((t * 7 + e) % kKeys)}).ok());
-        ++events;
-      }
-      engine.Tick(now);
-      now += 1;
-    }
-    return FromTotal(ElapsedNs(t0), static_cast<double>(events));
-  });
-}
-
-// namespace_op: BOOM-FS NameNode metadata churn over a populated namespace — rm, re-create,
-// and ls against a directory holding kFiles entries. `rm1` probes file(_, Par, _, _) and
-// `ls2` fans out over the same by-parent secondary index, which `rm2`'s delete patches in
-// place on both sides of the pair; the pair isolates what cost-based planning adds on a
-// churny metadata workload.
-WorkloadResult RunOptimizerNamespaceOp(bool optimize) {
-  constexpr int kFiles = 1000;   // namespace size; also pushes both drift re-plans into warm-up
-  constexpr int kWarmRounds = 40;
-  constexpr int kRounds = 150;   // each round = rm + create + ls (3 ops)
-  return BestOf([optimize] {
-    EngineOptions opts;
-    opts.address = "nn";
-    opts.enable_optimizer = optimize;
-    Engine engine(opts);
-    BOOM_CHECK(engine.Install(BoomFsNnProgram()).ok());
-    engine.Tick(0);
-    int64_t id = 0;
-    double now = 1;
-    auto request = [&](const char* op, const std::string& path) {
-      BOOM_CHECK(engine
-                     .Enqueue("ns_request", Tuple{Value("nn"), Value(id++), Value("c"),
-                                                  Value(op), Value(path), Value()})
-                     .ok());
-      engine.Tick(now);
-      engine.Tick(now);  // @next state updates apply on the second tick
-      now += 1;
-    };
-    request("mkdir", "/base");
-    for (int i = 0; i < kFiles; ++i) {
-      request("create", "/base/f" + std::to_string(i));
-    }
-    for (int r = 0; r < kWarmRounds; ++r) {  // warm the by-parent index + any re-plans
-      const std::string victim = "/base/f" + std::to_string(r);
-      request("rm", victim);
-      request("create", victim);
-      request("ls", "/base");
-    }
-    auto t0 = BenchClock::now();
-    for (int r = 0; r < kRounds; ++r) {
-      const std::string victim = "/base/f" + std::to_string(kWarmRounds + r);
-      request("rm", victim);
-      request("create", victim);
-      request("ls", "/base");
-    }
-    return FromTotal(ElapsedNs(t0), 3.0 * kRounds);
-  });
-}
-
-int JsonOptimizerMain() {
-  struct Entry {
-    const char* name;
-    WorkloadResult (*run)(bool);
-  };
-  const Entry entries[] = {
-      {"join_heavy", RunOptimizerJoinHeavy},
-      {"namespace_op", RunOptimizerNamespaceOp},
-  };
-  std::printf("{\n  \"bench\": \"micro_engine\",\n  \"optimizer\": true,\n"
-              "  \"workloads\": {\n");
-  bool first = true;
-  for (const Entry& e : entries) {
-    AblationResult r;
-    r.off = e.run(false);
-    r.on = e.run(true);
-    if (!first) {
-      std::printf(",\n");
-    }
-    first = false;
-    std::printf("    \"%s\": {\"off_ns_per_op\": %.1f, \"on_ns_per_op\": %.1f, "
-                "\"speedup\": %.2f}",
-                e.name, r.off.ns_per_op, r.on.ns_per_op,
-                r.off.ns_per_op / r.on.ns_per_op);
-  }
-  std::printf("\n  }\n}\n");
-  return 0;
-}
-
 int JsonScalingMain(size_t threads) {
   struct Entry {
     const char* name;
@@ -725,13 +581,10 @@ int JsonMain() {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool optimizer = false;
   size_t threads = 0;  // 0 = no --threads flag
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strcmp(argv[i], "--optimizer") == 0) {
-      optimizer = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       long v = std::strtol(argv[++i], nullptr, 10);
       threads = v < 1 ? 1 : static_cast<size_t>(v);
@@ -739,11 +592,7 @@ int main(int argc, char** argv) {
   }
   if (json) {
     // --threads selects the parallel scaling workloads (cluster-sharded join/churn);
-    // --optimizer the cost-based-optimizer off/on ablation pairs; plain --json is the
-    // serial regression-gated set, byte-for-byte the historical path.
-    if (optimizer) {
-      return boom::JsonOptimizerMain();
-    }
+    // plain --json is the serial regression-gated set.
     return threads > 0 ? boom::JsonScalingMain(threads) : boom::JsonMain();
   }
   benchmark::Initialize(&argc, argv);

@@ -44,10 +44,6 @@ echo "==> micro_engine --json"
 ./build-release/bench/micro_engine --json > "$tmpdir/micro.json"
 echo "==> ablation_engine --json"
 ./build-release/bench/ablation_engine --json > "$tmpdir/ablation.json"
-# Optimizer ablation: each workload twice (enable_optimizer off / on) in one process;
-# lands in current.optimizer as {off_ns_per_op, on_ns_per_op, speedup} per workload.
-echo "==> micro_engine --json --optimizer"
-./build-release/bench/micro_engine --json --optimizer > "$tmpdir/optimizer.json"
 
 # Parallel scaling sweep: the cluster-sharded workloads at each thread count in $THREADS.
 # One process per thread count — worker_threads > 1 flips tuple refcounts into their
@@ -68,8 +64,6 @@ with open(tmpdir + "/micro.json") as f:
     micro = json.load(f)
 with open(tmpdir + "/ablation.json") as f:
     ablation = json.load(f)
-with open(tmpdir + "/optimizer.json") as f:
-    optimizer = json.load(f)
 
 scaling = {"threads": {}}
 for t in sys.argv[2].split(","):
@@ -81,7 +75,6 @@ for t in sys.argv[2].split(","):
 current = {
     "micro_engine": micro["workloads"],
     "ablation_engine": ablation["workloads"],
-    "optimizer": optimizer["workloads"],
 }
 
 try:
@@ -96,10 +89,7 @@ if "baseline" not in doc:
 
 doc["schema"] = "boom-bench-v1"
 doc["build_type"] = "Release"
-doc["units"] = {"ns_per_op": "nanoseconds per workload op", "tuples_per_sec": "ops per second",
-                "off_ns_per_op": "ns per op, enable_optimizer=false",
-                "on_ns_per_op": "ns per op, enable_optimizer=true",
-                "speedup": "off_ns_per_op / on_ns_per_op"}
+doc["units"] = {"ns_per_op": "nanoseconds per workload op", "tuples_per_sec": "ops per second"}
 doc["current"] = current
 doc["parallel_scaling"] = scaling
 

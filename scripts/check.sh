@@ -6,25 +6,25 @@
 #   SKIP_TSAN=1 scripts/check.sh  # skip the ThreadSanitizer leg
 #   SKIP_BENCH=1 scripts/check.sh # skip the Release bench smoke (e.g. loaded CI box)
 #
-# Tier 1 (must stay green): plain build + every non-chaos test, then the optimizer label
-# (cost-based planner units, optimizer-on/off fixpoint equivalence across all program
-# families, and the pinned --explain/olglint goldens — see DESIGN.md §13), the telemetry label
-# explicitly (metrics/tracing/profiling — see docs/OBSERVABILITY.md), the workload +
+# Tier 1 (must stay green): plain build + every non-chaos test, then the planner label
+# (greedy join-ordering units, join-order independence across the engine-level program
+# families, and the pinned --explain/olglint goldens — see DESIGN.md §13), the telemetry
+# label explicitly (metrics/tracing/profiling — see docs/OBSERVABILITY.md), the workload +
 # policy labels (open-loop generator determinism and the scheduler-policy matrix — see
 # docs/WORKLOADS.md), and the overload label (admission control, retry budgets, and the
 # metastable-failure scenario — see docs/CHAOS.md).
-# ASan smoke: rebuild with -DBOOM_SANITIZE=address, run the telemetry + workload + policy
-# + overload tests under ASan (the tracer/registry hot paths are lock-free atomics worth
-# sanitizing; the generator, scheduler, and admission-gateway paths churn tuples hard),
+# ASan smoke: rebuild with -DBOOM_SANITIZE=address, run the planner + telemetry + workload
+# + policy + overload tests under ASan (the tracer/registry hot paths are lock-free atomics
+# worth sanitizing; the generator, scheduler, and admission-gateway paths churn tuples hard),
 # then a 3-seed boomfs chaos sweep (corruption + slow-disk faults included via the
 # scenario's fault profile), so memory errors on the retry/quarantine/re-replication
 # paths surface even though the full chaos tier is too slow for every push.
-# TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the optimizer, engine, sim and
-# parallel tests plus 4-thread chaos smokes of boomfs and federation. Parallelism lives
-# only in the Cluster, which ticks whole engines on pool threads; the leg races what those
-# threads share (sticky atomic tuple refcounts, interner shards, cluster tick batches) and
-# checks that per-engine state, such as the plain per-table probe counters, stays confined
-# to one thread at a time. Federation hosts the most engines per cluster.
+# TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine, sim and parallel tests
+# plus 4-thread chaos smokes of boomfs and federation. Parallelism lives only in the
+# Cluster, which ticks whole engines on pool threads (no planner code runs there: rules
+# compile at install, on the coordinator); the leg races what those threads share (sticky
+# atomic tuple refcounts, interner shards, cluster tick batches) and checks that per-engine
+# state, such as the plain per-table probe counters, stays confined to one thread at a time. Federation hosts the most engines per cluster.
 # Bench smoke: Release build of micro_engine, gated against the committed BENCH_engine.json
 # (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py), then the
 # system benchmark's smoke run (bench/system: oracle or determinism-guard failures fail).
@@ -43,8 +43,8 @@ echo "==> tier-1 tests (ctest -LE chaos)"
 echo "==> lint (ctest -L lint: olglint over olg/*.olg and all program families)"
 (cd build && ctest -L lint --output-on-failure -j "$JOBS")
 
-echo "==> optimizer tests (ctest -L optimizer: cost-based planner, on/off equivalence, CLI goldens)"
-(cd build && ctest -L optimizer --output-on-failure -j "$JOBS")
+echo "==> planner tests (ctest -L planner: greedy join order, join-order independence, CLI goldens)"
+(cd build && ctest -L planner --output-on-failure -j "$JOBS")
 
 echo "==> telemetry tests (ctest -L telemetry)"
 (cd build && ctest -L telemetry --output-on-failure -j "$JOBS")
@@ -63,10 +63,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DBOOM_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS" --target chaos_explorer telemetry_test \
     trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
-    federation_test optimizer_test olglint olgrun
+    federation_test planner_test join_order_test olglint olgrun
 
-  echo "==> ASan optimizer smoke (ctest -L optimizer)"
-  (cd build-asan && ctest -L optimizer --output-on-failure -j "$JOBS")
+  echo "==> ASan planner smoke (ctest -L planner)"
+  (cd build-asan && ctest -L planner --output-on-failure -j "$JOBS")
 
   echo "==> ASan telemetry smoke (ctest -L telemetry)"
   (cd build-asan && ctest -L telemetry --output-on-failure -j "$JOBS")
@@ -91,10 +91,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "==> TSan build"
   cmake -B build-tsan -S . -DBOOM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target engine_test sim_test parallel_test \
-    chaos_explorer optimizer_test olglint olgrun
-
-  echo "==> TSan optimizer tests (ctest -L optimizer: re-plan and index warming under TSan)"
-  (cd build-tsan && ctest -L optimizer --output-on-failure -j "$JOBS")
+    chaos_explorer
 
   echo "==> TSan engine + sim tests"
   ./build-tsan/tests/engine_test
@@ -116,25 +113,22 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   cmake --build build-release -j "$JOBS" --target micro_engine >/dev/null
   fresh="$(mktemp)"
   fresh_scaling="$(mktemp)"
-  fresh_optimizer="$(mktemp)"
   ./build-release/bench/micro_engine --json > "$fresh"
   # threads=1 only: the serial baseline of the parallel sweep is host-independent; the
   # multi-thread rows depend on core count and are never wall-clock gated.
   ./build-release/bench/micro_engine --json --threads 1 > "$fresh_scaling"
-  ./build-release/bench/micro_engine --json --optimizer > "$fresh_optimizer"
   if ! python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh" \
-      --fresh-scaling "$fresh_scaling" --fresh-optimizer "$fresh_optimizer"; then
+      --fresh-scaling "$fresh_scaling"; then
     # One retry: these are wall-clock numbers and a loaded box can blow the tolerance
     # without any code change. A regression that reproduces twice is treated as real.
     echo "==> bench gate failed; retrying once"
     sleep 5
     ./build-release/bench/micro_engine --json > "$fresh"
     ./build-release/bench/micro_engine --json --threads 1 > "$fresh_scaling"
-    ./build-release/bench/micro_engine --json --optimizer > "$fresh_optimizer"
     python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh" \
-      --fresh-scaling "$fresh_scaling" --fresh-optimizer "$fresh_optimizer"
+      --fresh-scaling "$fresh_scaling"
   fi
-  rm -f "$fresh" "$fresh_scaling" "$fresh_optimizer"
+  rm -f "$fresh" "$fresh_scaling"
 
   # System benchmark smoke: all four end-to-end workloads at 2% size, Release build. A
   # correctness-oracle failure, a failed op, or a determinism-guard mismatch (counters or

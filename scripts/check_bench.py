@@ -14,9 +14,7 @@ still carry every section with the expected schema:
 
   current.micro_engine     {name: {ns_per_op, tuples_per_sec}}  engine rows, churn_probe
                            included
-  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E-F
-  current.optimizer        {name: {off_ns_per_op, on_ns_per_op, speedup}}  planner pairs
-                           (enable_optimizer off/on; join_heavy, namespace_op)
+  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E
 
 With --fresh-scaling (a fresh `micro_engine --json --threads 1` run), the threads=1 row
 of the committed "parallel_scaling" block is gated the same way. Only threads=1 is ever
@@ -44,8 +42,6 @@ def main():
     parser.add_argument("--fresh", required=True, help="fresh `micro_engine --json` output")
     parser.add_argument("--fresh-scaling", default=None,
                         help="fresh `micro_engine --json --threads 1` output (optional)")
-    parser.add_argument("--fresh-optimizer", default=None,
-                        help="fresh `micro_engine --json --optimizer` output (optional)")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional ns_per_op regression (default 0.25)")
     args = parser.parse_args()
@@ -61,17 +57,9 @@ def main():
     if committed.get("schema") != "boom-bench-v1":
         errors += fail("committed file missing schema boom-bench-v1")
     current = committed.get("current", {})
-    for section in ("micro_engine", "ablation_engine", "optimizer"):
+    for section in ("micro_engine", "ablation_engine"):
         if not current.get(section):
             errors += fail(f"committed file missing current.{section}")
-
-    # The optimizer ablation block must carry the full schema for every workload: both
-    # sides of the off/on pair are gated when --fresh-optimizer is supplied, so a
-    # regression on the greedy baseline cannot hide behind an optimizer win.
-    for name, entry in sorted(current.get("optimizer", {}).items()):
-        for key in ("off_ns_per_op", "on_ns_per_op", "speedup"):
-            if key not in entry:
-                errors += fail(f"optimizer workload '{name}' missing key '{key}'")
 
     committed_micro = current.get("micro_engine", {})
     fresh_micro = fresh.get("workloads", {})
@@ -128,28 +116,6 @@ def main():
                 status = "REGRESSED"
             print(f"  scaling/{name:16s} committed {committed_ns:>10.1f}  "
                   f"fresh {fresh_ns:>10.1f}  {status}")
-
-    if args.fresh_optimizer:
-        with open(args.fresh_optimizer) as f:
-            fresh_opt = json.load(f)
-        committed_opt = current.get("optimizer", {})
-        fresh_opt_workloads = fresh_opt.get("workloads", {})
-        for name, entry in sorted(committed_opt.items()):
-            if name not in fresh_opt_workloads:
-                errors += fail(f"optimizer workload '{name}' missing from fresh run")
-                continue
-            for key in ("off_ns_per_op", "on_ns_per_op"):
-                committed_ns = entry.get(key, float("inf"))
-                fresh_ns = fresh_opt_workloads[name].get(key, float("inf"))
-                limit = committed_ns * (1.0 + args.tolerance)
-                status = "ok"
-                if fresh_ns > limit:
-                    errors += fail(
-                        f"optimizer workload '{name}' {key} regressed: {fresh_ns:.1f} "
-                        f"ns/op vs committed {committed_ns:.1f} (limit {limit:.1f})")
-                    status = "REGRESSED"
-                print(f"  optimizer/{name:14s} {key:13s} committed {committed_ns:>10.1f}  "
-                      f"fresh {fresh_ns:>10.1f}  {status}")
 
     if errors:
         print(f"bench gate: {errors} failure(s)", file=sys.stderr)

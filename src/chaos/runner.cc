@@ -16,7 +16,6 @@ ChaosRunResult RunChaosOnce(ChaosScenario& scenario, uint64_t seed,
 
   ClusterOptions copts;
   copts.worker_threads = options.worker_threads;
-  copts.enable_engine_optimizer = options.enable_engine_optimizer;
   Cluster cluster(seed, copts);
   if (options.tracer != nullptr) {
     cluster.set_tracer(options.tracer);

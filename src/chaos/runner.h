@@ -31,11 +31,6 @@ struct ChaosRunOptions {
   // Cluster worker threads (see ClusterOptions::worker_threads). Any value must reproduce
   // the serial run byte-for-byte — enforced by the `parallel` determinism tests.
   size_t worker_threads = 1;
-  // Cost-based optimizer on every hosted engine (see
-  // ClusterOptions::enable_engine_optimizer). Fixpoints and pass/fail outcomes match the
-  // greedy planner; two optimizer-on runs of one seed are byte-identical — enforced by the
-  // `optimizer` determinism tests.
-  bool enable_engine_optimizer = false;
 };
 
 struct ChaosRunResult {

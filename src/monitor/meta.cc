@@ -233,7 +233,6 @@ void ExportTableMetrics(const Engine& engine) {
     registry.gauge(prefix + "probes").Set(static_cast<double>(table.probes()));
     registry.gauge(prefix + "probe_hits").Set(static_cast<double>(table.probe_hits()));
   }
-  registry.gauge("engine.optimizer.replans").Set(static_cast<double>(engine.stats().replans));
 }
 
 }  // namespace boom

@@ -63,10 +63,9 @@ Status InstallProfiling(Engine& engine);
 const Module& RuleHogInvariantsModule();
 Program RuleHogInvariantProgram(int64_t max_tuples_per_fixpoint);
 
-// Mirrors the live per-table stats (and, when the optimizer is on, its re-plan counter) into
-// the process-wide MetricsRegistry as engine.table.<name>.{rows,probes,probe_hits} gauges
-// and the engine.optimizer.replans gauge, so monitor dashboards see the same numbers
-// perf_table publishes without an extra tick.
+// Mirrors the live per-table stats into the process-wide MetricsRegistry as
+// engine.table.<name>.{rows,probes,probe_hits} gauges, so monitor dashboards see the same
+// numbers perf_table publishes without an extra tick.
 void ExportTableMetrics(const Engine& engine);
 
 }  // namespace boom

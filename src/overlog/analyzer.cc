@@ -466,10 +466,11 @@ class Analyzer {
   }
 
   // Advisory tier: mirrors the planner's greedy join ordering (driver = first positive
-  // atom, then most-bound-first) and flags every probe whose column set differs from the
-  // probed table's effective key — the engine answers those probes from a lazily built
-  // secondary index, which churn-heavy workloads repeatedly invalidate. One advisory per
-  // (table, column set), attributed to the first rule that wants it.
+  // atom, then most-bound-first) and flags every probe whose columns do not cover the
+  // probed table's effective key. The engine answers those probes from a secondary index
+  // built on first probe and then updated in place, which costs memory and a bucket update
+  // per mutation; a key lookup costs neither. One advisory per (table, column set),
+  // attributed to the first rule that wants it.
   void AdviseIndexes() {
     std::set<std::pair<std::string, std::vector<size_t>>> seen;
     for (const Rule& rule : program_.rules) {
@@ -546,7 +547,8 @@ class Analyzer {
                           }
                           return ks;
                         }(), ", ") +
-                        ") or enable the cost-based optimizer's index warming",
+                        ") to make it a key lookup; otherwise the engine keeps an "
+                        "in-place secondary index",
                     rule.name, rule.line);
       }
     }

@@ -169,12 +169,7 @@ Status Engine::Recompile() {
       rule_programs.push_back(p.name);
     }
   }
-  PlannerOptions popts;
-  if (options_.enable_optimizer) {
-    popts.cost_based = true;
-    HarvestPlannerStats(&popts.stats);
-  }
-  Result<CompiledProgram> compiled = CompileRules(all_rules, rule_programs, catalog_, popts);
+  Result<CompiledProgram> compiled = CompileRules(all_rules, rule_programs, catalog_);
   if (!compiled.ok()) {
     return compiled.status();
   }
@@ -197,68 +192,13 @@ Status Engine::Recompile() {
     }
     resolve_variant(rule.full_variant);
   }
-  if (options_.enable_optimizer) {
-    // Automatic index selection: build every index the chosen plans will probe, so first
-    // probes inside a tick never pay a cold O(table) build.
-    for (const auto& [table_name, cols] : compiled_.warm_indexes) {
-      Table* table = catalog_.Find(table_name);
-      if (table != nullptr) {
-        table->WarmIndex(cols);
-      }
-    }
-    // The drift snapshot caches Table pointers: PlanDrifted runs at every tick entry, and
-    // name lookups there would charge O(tables) map probes per tick to workloads the
-    // optimizer never helps. Tables declared after this snapshot (only perf_table's lazy
-    // declare) join it at the next recompile.
-    planned_rows_.clear();
-    for (const std::string& name : catalog_.TableNames()) {
-      Table* table = catalog_.Find(name);
-      planned_rows_.emplace_back(table, table->size());
-    }
-  }
   return Status::Ok();
-}
-
-void Engine::HarvestPlannerStats(std::unordered_map<std::string, TableStats>* stats) const {
-  for (const std::string& name : catalog_.TableNames()) {
-    const Table& table = catalog_.Get(name);
-    TableStats ts;
-    ts.rows = table.size();
-    const size_t arity = table.def().arity();
-    ts.distinct.reserve(arity);
-    for (size_t col = 0; col < arity; ++col) {
-      ts.distinct.push_back(table.DistinctCount(col));
-    }
-    const uint64_t probes = table.probes();
-    ts.probe_hit_ratio =
-        probes == 0 ? 1.0
-                    : static_cast<double>(table.probe_hits()) / static_cast<double>(probes);
-    (*stats)[name] = std::move(ts);
-  }
-}
-
-bool Engine::PlanDrifted() const {
-  for (const auto& [table, planned] : planned_rows_) {
-    const uint64_t now_rows = table->size();
-    const uint64_t hi = std::max(planned, now_rows);
-    const uint64_t lo = std::min(planned, now_rows);
-    if (hi >= options_.replan_min_rows &&
-        static_cast<double>(lo) * options_.replan_drift_factor < static_cast<double>(hi)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 std::string Engine::ExplainPlan() const {
   std::ostringstream os;
-  os << "plan: " << (compiled_.cost_based ? "cost-based" : "greedy") << ", "
-     << compiled_.rules.size() << " rule(s), " << compiled_.num_strata << " stratum(s)\n";
-  auto fmt_est = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3g", v);
-    return std::string(buf);
-  };
+  os << "plan: greedy, " << compiled_.rules.size() << " rule(s), " << compiled_.num_strata
+     << " stratum(s)\n";
   auto atom_str = [](const CompiledAtom& a) {
     std::string s = a.negated ? "!" : "";
     s += a.table;
@@ -280,9 +220,6 @@ std::string Engine::ExplainPlan() const {
       switch (step.kind) {
         case BodyTerm::Kind::kAtom:
           s += atom_str(step.atom);
-          if (step.est_rows >= 0) {
-            s += "~" + fmt_est(step.est_rows);
-          }
           break;
         case BodyTerm::Kind::kAssign:
           s += "assign";
@@ -292,9 +229,6 @@ std::string Engine::ExplainPlan() const {
           break;
       }
     }
-    if (v.est_cost >= 0) {
-      s += "  cost=" + fmt_est(v.est_cost);
-    }
     return s + "\n";
   };
   for (const CompiledRule& rule : compiled_.rules) {
@@ -302,19 +236,6 @@ std::string Engine::ExplainPlan() const {
     os << variant_str(rule.full_variant, "full");
     for (const CompiledVariant& v : rule.variants) {
       os << variant_str(v, "delta[" + v.driver_table + "]");
-    }
-  }
-  if (!compiled_.warm_indexes.empty()) {
-    os << "warm indexes:\n";
-    for (const auto& [table, cols] : compiled_.warm_indexes) {
-      os << "  " << table << "(";
-      for (size_t i = 0; i < cols.size(); ++i) {
-        if (i > 0) {
-          os << ",";
-        }
-        os << cols[i];
-      }
-      os << ")\n";
     }
   }
   return os.str();
@@ -447,16 +368,6 @@ Engine::TickResult Engine::Tick(double now_ms) {
   TickResult result;
   evaluator_.ClearErrors();
   tick_new_.clear();
-
-  // Optimizer: deterministic re-plan at the tick boundary when observed cardinalities have
-  // drifted past the threshold. The decision reads only table state at tick entry — a pure
-  // function of the seeded execution so far — so chaos traces stay byte-identical per seed.
-  if (options_.enable_optimizer && !needs_seed_ && PlanDrifted()) {
-    Status replanned = Recompile();
-    if (replanned.ok()) {
-      ++stats_.replans;
-    }  // on failure the previous plan stays installed; nothing observable changes
-  }
 
   // Profiling bookkeeping (only touched when profiling is enabled; the disabled cost is one
   // predictable branch per eval site).

@@ -51,21 +51,6 @@ struct EngineOptions {
   // only those whose driver tables received deltas. Must derive identical fixpoints (see
   // engine_test DirtySchedulingMatchesExhaustive).
   bool disable_dirty_rule_scheduling = false;
-  // Profile-guided cost-based optimizer (DESIGN.md §13). Off by default: the default path
-  // compiles the classic greedy most-bound-first plans and stays byte-identical to every
-  // pinned trace. When on: rule bodies are ordered by a cardinality cost model seeded from
-  // live table stats, and the secondary indexes the chosen plans probe are pre-warmed after
-  // each (re)compile. Only the plan changes: evaluation is the same serial per-rule loop
-  // either way, and index maintenance does not depend on this switch (key-covered probes
-  // always read the row map; every secondary index is updated in place on each mutation).
-  // Re-planning happens deterministically at tick boundaries when observed row counts
-  // drift (see replan_* below), so runs stay byte-identical per seed.
-  bool enable_optimizer = false;
-  // Re-plan at a tick boundary when some table's row count and the count recorded at plan
-  // time differ by more than replan_drift_factor (and the larger side has at least
-  // replan_min_rows rows — tiny tables re-order for free anyway and would thrash).
-  double replan_drift_factor = 4.0;
-  uint64_t replan_min_rows = 64;
 };
 
 class Engine {
@@ -123,15 +108,14 @@ class Engine {
     uint64_t derivations = 0;
     uint64_t messages_sent = 0;
     uint64_t tuples_enqueued = 0;
-    uint64_t replans = 0;  // drift-triggered deterministic re-plans (enable_optimizer only)
   };
   const Stats& stats() const { return stats_; }
 
   // Rule/stratum introspection (used by tests and the monitoring layer).
   const CompiledProgram& compiled() const { return compiled_; }
 
-  // Human-readable dump of the current compiled plan: per-rule variant orderings (with cost
-  // estimates under the optimizer) and chosen warm indexes. Backs `olgrun --explain`.
+  // Human-readable dump of the current compiled plan: per-rule variant orderings, with each
+  // atom's probe columns and key lookups marked "[key]". Backs `olgrun --explain`.
   std::string ExplainPlan() const;
 
   // --- per-rule profiling ---
@@ -209,13 +193,6 @@ class Engine {
   };
 
   Status Recompile();
-  // Optimizer support: snapshots per-table stats (rows, per-column distinct counts, probe
-  // hit ratios) for the planner's cost model. Deterministic per seed: derived only from
-  // table contents and monotone counters.
-  void HarvestPlannerStats(std::unordered_map<std::string, TableStats>* stats) const;
-  // Returns true when some table's row count has drifted past the re-plan threshold since
-  // the current plan was produced.
-  bool PlanDrifted() const;
   void RecordRuleEval(const CompiledRule& rule, uint64_t tuples, double wall_us,
                       std::map<std::string, uint64_t>& tick_tuples);
   void FireWatches(const std::string& table, const Tuple& tuple, bool inserted);
@@ -241,12 +218,6 @@ class Engine {
   // snapshot in Tick copies into an ordered map, so iteration order here never leaks into
   // evaluation order (determinism).
   std::unordered_map<std::string, std::vector<Tuple>> tick_new_;
-
-  // Optimizer: per-table row counts recorded when the current plan was produced; the
-  // re-plan drift check compares live counts against these at tick entry. Table pointers
-  // (stable for the catalog's lifetime) rather than names: the check runs every tick and
-  // must not pay per-table map lookups.
-  std::vector<std::pair<const Table*, uint64_t>> planned_rows_;
 
   double now_ms_ = 0;
   bool needs_seed_ = false;

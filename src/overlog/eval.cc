@@ -129,27 +129,20 @@ void Evaluator::JoinSteps(const CompiledRule& rule, const CompiledVariant& varia
       // Build the probe key from const and pre-bound argument positions in a per-depth
       // scratch buffer; the table is probed by view (precomputed hash, no Tuple built).
       std::vector<Value>& probe_vals = ProbeScratch(step_idx);
+      for (size_t col : atom.probe_cols) {
+        probe_vals.push_back(probe_value(col));
+      }
       if (atom.key_lookup) {
-        for (size_t col : table->key_columns()) {
-          probe_vals.push_back(probe_value(col));
-        }
-        const Tuple* row =
-            table->ProbeKey(TupleView::Of(probe_vals.data(), probe_vals.size()));
+        // ProbeKey already checked every probe column, key and non-key.
+        const Tuple* row = table->ProbeKey(atom.probe_cols, probe_vals.data());
         if (atom.negated) {
-          // The key matched; the row must also agree on any non-key probe column.
-          bool found = row != nullptr &&
-                       std::all_of(atom.probe_cols.begin(), atom.probe_cols.end(),
-                                   [&](size_t col) { return (*row)[col] == probe_value(col); });
-          if (!found) {
+          if (row == nullptr) {
             JoinSteps(rule, variant, step_idx + 1, slots, emit);
           }
         } else if (row != nullptr && BindAtomRow(atom, *row, slots)) {
           JoinSteps(rule, variant, step_idx + 1, slots, emit);
         }
         return;
-      }
-      for (size_t col : atom.probe_cols) {
-        probe_vals.push_back(probe_value(col));
       }
       const std::vector<const Tuple*>& rows =
           table->Probe(atom.probe_cols, TupleView::Of(probe_vals.data(), probe_vals.size()));

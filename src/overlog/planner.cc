@@ -13,9 +13,8 @@ namespace {
 // Working state for compiling a single rule.
 class RuleCompiler {
  public:
-  RuleCompiler(const Rule& rule, const std::string& program, const Catalog& catalog,
-               const PlannerOptions& options)
-      : rule_(rule), program_(program), catalog_(catalog), options_(options) {}
+  RuleCompiler(const Rule& rule, const std::string& program, const Catalog& catalog)
+      : rule_(rule), program_(program), catalog_(catalog) {}
 
   Result<CompiledRule> Run() {
     CompiledRule out;
@@ -71,9 +70,8 @@ class RuleCompiler {
     // Full ordering (seed evaluation and aggregate rules): drive from the first positive
     // atom's full table contents, or no driver at all when the body has none.
     {
-      Result<CompiledVariant> full = PlanVariant(
-          out, positive_atoms.empty() ? -1 : static_cast<int>(positive_atoms[0]),
-          positive_atoms);
+      Result<CompiledVariant> full =
+          OrderBody(out, positive_atoms.empty() ? -1 : static_cast<int>(positive_atoms[0]));
       if (!full.ok()) {
         return full.status();
       }
@@ -82,8 +80,7 @@ class RuleCompiler {
 
     if (!out.has_agg) {
       for (size_t atom_idx : positive_atoms) {
-        Result<CompiledVariant> variant =
-            PlanVariant(out, static_cast<int>(atom_idx), positive_atoms);
+        Result<CompiledVariant> variant = OrderBody(out, static_cast<int>(atom_idx));
         if (!variant.ok()) {
           return variant.status();
         }
@@ -258,80 +255,13 @@ class RuleCompiler {
     return true;
   }
 
-  // Cost model: estimated rows matched when probing `ca` (rows scaled down by the distinct
-  // count of each probe column, then by the observed probe-hit ratio). All inputs come from
-  // PlannerOptions::stats; unknown tables estimate as a single row so const-bound atoms
-  // still order ahead of unconstrained scans via their probe columns.
-  double EstimatedMatches(const CompiledAtom& ca) const {
-    auto it = options_.stats.find(ca.table);
-    const TableStats* ts = it == options_.stats.end() ? nullptr : &it->second;
-    double est = ts != nullptr ? std::max<double>(1.0, static_cast<double>(ts->rows)) : 1.0;
-    if (ca.probe_cols.empty() && !ca.args.empty()) {
-      // No bound or constant column: the "probe" is a cross product with every row. Stats
-      // say nothing useful here — a table empty at plan time (every event table) can hold
-      // rows mid-tick — so penalize unconditionally; a connected order always costs less
-      // when one exists.
-      return std::max(est, kCrossProductPenalty);
-    }
-    for (size_t col : ca.probe_cols) {
-      uint64_t distinct =
-          (ts != nullptr && col < ts->distinct.size()) ? ts->distinct[col] : 1;
-      est /= static_cast<double>(std::max<uint64_t>(distinct, 1));
-    }
-    if (ts != nullptr && !ca.probe_cols.empty()) {
-      est *= ts->probe_hit_ratio;
-    }
-    return std::max(est, 1e-3);
-  }
-
-  static constexpr double kCrossProductPenalty = 1e4;
-
-  // Chooses the evaluation order for one variant. Under cost-based planning with >= 2
-  // non-driver positive atoms, enumerates every permutation of those atoms (up to 6; the
-  // cost-greedy fallback inside OrderBody handles wider bodies), costs each candidate as the
-  // sum of estimated intermediate binding counts, and keeps the strictly cheapest —
-  // permutations are generated in lexicographic order of body positions, so ties resolve to
-  // body order deterministically.
-  Result<CompiledVariant> PlanVariant(const CompiledRule& out, int driver_idx,
-                                      const std::vector<size_t>& positive_atoms) const {
-    std::vector<size_t> rest;
-    for (size_t idx : positive_atoms) {
-      if (static_cast<int>(idx) != driver_idx) {
-        rest.push_back(idx);
-      }
-    }
-    if (!options_.cost_based || rest.size() < 2 || rest.size() > 6) {
-      return OrderBody(out, driver_idx, nullptr);
-    }
-    std::sort(rest.begin(), rest.end());
-    bool have_best = false;
-    double best_cost = 0;
-    CompiledVariant best;
-    do {
-      Result<CompiledVariant> candidate = OrderBody(out, driver_idx, &rest);
-      if (!candidate.ok()) {
-        return candidate.status();
-      }
-      if (!have_best || candidate.value().est_cost < best_cost) {
-        have_best = true;
-        best_cost = candidate.value().est_cost;
-        best = std::move(candidate).value();
-      }
-    } while (std::next_permutation(rest.begin(), rest.end()));
-    return best;
-  }
-
-  // Orders one rule body. When `forced_positive` is non-null it dictates the relative order
-  // of non-driver positive atoms; otherwise step 2 picks greedily (most-bound-first by
-  // default, cheapest-estimated-matches under cost-based planning).
-  Result<CompiledVariant> OrderBody(const CompiledRule& out, int driver_idx,
-                                    const std::vector<size_t>* forced_positive) const {
+  // Orders one rule body greedily: after the driver atom, repeatedly emit every ready
+  // filter (condition, assignment, negated atom), then the positive atom with the most bound
+  // or constant arguments, the earliest in body order on a tie.
+  Result<CompiledVariant> OrderBody(const CompiledRule& out, int driver_idx) const {
     CompiledVariant variant;
     std::set<int> bound;
     std::vector<bool> used(rule_.body.size(), false);
-    double est_bindings = 1.0;  // per driver row for delta variants
-    double cost = 0;
-    size_t forced_cursor = 0;
 
     if (driver_idx >= 0) {
       const Atom& driver_atom = rule_.body[static_cast<size_t>(driver_idx)].atom;
@@ -400,57 +330,27 @@ class RuleCompiler {
         continue;
       }
 
-      // 2. Pick the next positive atom: the forced enumeration order when planning
-      //    cost-based candidates, the cheapest estimated probe under cost-greedy fallback,
-      //    or the classic most-bound/const-count heuristic by default.
+      // 2. Pick the next positive atom: most bound/constant arguments first.
       int best = -1;
-      if (forced_positive != nullptr) {
-        while (forced_cursor < forced_positive->size() &&
-               used[(*forced_positive)[forced_cursor]]) {
-          ++forced_cursor;
+      int best_score = -1;
+      for (size_t i = 0; i < rule_.body.size(); ++i) {
+        if (used[i]) {
+          continue;
         }
-        if (forced_cursor < forced_positive->size()) {
-          best = static_cast<int>((*forced_positive)[forced_cursor++]);
+        const BodyTerm& t = rule_.body[i];
+        if (t.kind != BodyTerm::Kind::kAtom || t.atom.negated) {
+          continue;
         }
-      } else if (options_.cost_based) {
-        double best_est = 0;
-        for (size_t i = 0; i < rule_.body.size(); ++i) {
-          if (used[i]) {
-            continue;
-          }
-          const BodyTerm& t = rule_.body[i];
-          if (t.kind != BodyTerm::Kind::kAtom || t.atom.negated) {
-            continue;
-          }
-          std::set<int> trial_bound = bound;
-          CompiledAtom trial = CompileAtom(t.atom, out, &trial_bound, /*is_probe=*/true);
-          double est = EstimatedMatches(trial);
-          if (best < 0 || est < best_est) {
-            best_est = est;
-            best = static_cast<int>(i);
+        int score = 0;
+        for (const Expr& arg : t.atom.args) {
+          if (arg.is_const() ||
+              (arg.is_var() && bound.count(out.slot_of.at(arg.var)) > 0)) {
+            ++score;
           }
         }
-      } else {
-        int best_score = -1;
-        for (size_t i = 0; i < rule_.body.size(); ++i) {
-          if (used[i]) {
-            continue;
-          }
-          const BodyTerm& t = rule_.body[i];
-          if (t.kind != BodyTerm::Kind::kAtom || t.atom.negated) {
-            continue;
-          }
-          int score = 0;
-          for (const Expr& arg : t.atom.args) {
-            if (arg.is_const() ||
-                (arg.is_var() && bound.count(out.slot_of.at(arg.var)) > 0)) {
-              ++score;
-            }
-          }
-          if (score > best_score) {
-            best_score = score;
-            best = static_cast<int>(i);
-          }
+        if (score > best_score) {
+          best_score = score;
+          best = static_cast<int>(i);
         }
       }
       if (best < 0) {
@@ -460,11 +360,6 @@ class RuleCompiler {
       step.kind = BodyTerm::Kind::kAtom;
       step.atom = CompileAtom(rule_.body[static_cast<size_t>(best)].atom, out, &bound,
                               /*is_probe=*/true);
-      if (options_.cost_based) {
-        est_bindings *= EstimatedMatches(step.atom);
-        cost += est_bindings;
-        step.est_rows = est_bindings;
-      }
       variant.steps.push_back(std::move(step));
       used[static_cast<size_t>(best)] = true;
       --remaining;
@@ -478,16 +373,12 @@ class RuleCompiler {
       }
     }
     variant.bound_slots.assign(bound.begin(), bound.end());
-    if (options_.cost_based) {
-      variant.est_cost = cost;
-    }
     return variant;
   }
 
   const Rule& rule_;
   const std::string& program_;
   const Catalog& catalog_;
-  const PlannerOptions& options_;
 };
 
 // Iterative Tarjan SCC over table dependency graph.
@@ -575,13 +466,11 @@ class SccFinder {
 
 Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
                                      const std::vector<std::string>& programs,
-                                     const Catalog& catalog,
-                                     const PlannerOptions& options) {
+                                     const Catalog& catalog) {
   CompiledProgram out;
-  out.cost_based = options.cost_based;
   for (size_t i = 0; i < rules.size(); ++i) {
     const std::string program = i < programs.size() ? programs[i] : "";
-    Result<CompiledRule> compiled = RuleCompiler(rules[i], program, catalog, options).Run();
+    Result<CompiledRule> compiled = RuleCompiler(rules[i], program, catalog).Run();
     if (!compiled.ok()) {
       return compiled.status();
     }
@@ -734,26 +623,6 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
     }
   }
 
-  if (options.cost_based) {
-    // Automatic index selection: every secondary index any chosen plan will probe, sorted
-    // + deduped for the engine's post-recompile WarmIndex sweep.
-    std::set<std::pair<std::string, std::vector<size_t>>> warm;
-    auto collect = [&warm](const CompiledVariant& v) {
-      for (const CompiledStep& step : v.steps) {
-        if (step.kind == BodyTerm::Kind::kAtom && !step.atom.probe_cols.empty() &&
-            !step.atom.key_lookup) {
-          warm.emplace(step.atom.table, step.atom.probe_cols);
-        }
-      }
-    };
-    for (const CompiledRule& cr : out.rules) {
-      collect(cr.full_variant);
-      for (const CompiledVariant& v : cr.variants) {
-        collect(v);
-      }
-    }
-    out.warm_indexes.assign(warm.begin(), warm.end());
-  }
   return out;
 }
 

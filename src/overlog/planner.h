@@ -23,26 +23,6 @@
 
 namespace boom {
 
-// Observed statistics for one table, harvested by the engine from live table state plus the
-// Table runtime counters. Everything here is derived deterministically from table contents
-// (set-based distinct counts, monotone counters), so re-planning from stats keeps chaos
-// traces byte-identical per seed.
-struct TableStats {
-  uint64_t rows = 0;
-  std::vector<uint64_t> distinct;  // per-column distinct counts (size = arity; may be empty)
-  double probe_hit_ratio = 1.0;    // probe_hits / probes observed so far
-};
-
-// Optional cost-based planning mode (DESIGN.md §13). Off by default: the default plan is
-// byte-identical to the greedy most-bound-first ordering this repo has always produced.
-struct PlannerOptions {
-  // When true: rule bodies are ordered by the cardinality/selectivity cost model (exhaustive
-  // permutation enumeration up to 6 positive atoms, cost-greedy beyond), warm_indexes is
-  // populated, and per-step cost estimates are recorded for `olgrun --explain`.
-  bool cost_based = false;
-  std::unordered_map<std::string, TableStats> stats;  // table name -> observed stats
-};
-
 // One argument position of a compiled atom.
 struct CompiledArg {
   bool is_const = false;
@@ -73,8 +53,6 @@ struct CompiledStep {
   int assign_slot = -1;    // kAssign
   Expr assign_expr;        // kAssign
   Expr condition;          // kCondition
-  // Cost-based planning only: estimated bindings alive after this step (-1 = not planned).
-  double est_rows = -1;
 };
 
 // One join ordering. driver_table names the delta relation this variant is driven by
@@ -84,9 +62,6 @@ struct CompiledVariant {
   CompiledAtom driver;              // meaningful when driver_table is nonempty
   std::vector<CompiledStep> steps;  // remaining terms, in evaluation order
   std::vector<int> bound_slots;     // slots guaranteed bound after all steps (sorted)
-  // Cost-based planning only: total estimated cost (sum of intermediate binding counts
-  // across positive-atom steps; -1 = planned greedily without a cost model).
-  double est_cost = -1;
 };
 
 struct CompiledHeadArg {
@@ -148,21 +123,13 @@ struct CompiledProgram {
   std::vector<CompiledRule> rules;
   int num_strata = 1;
   std::vector<StratumSchedule> schedule;  // one entry per stratum
-  // Cost-based planning only (empty otherwise):
-  bool cost_based = false;
-  // Every (table, probe columns) secondary index the chosen plans will probe, sorted +
-  // deduped (key lookups need none); the engine warms these via Table::WarmIndex right
-  // after a successful recompile so first probes inside a tick never pay a cold build.
-  std::vector<std::pair<std::string, std::vector<size_t>>> warm_indexes;
 };
 
 // Compiles `rules` (typically the union of all installed programs) against tables already
-// declared in `catalog`. All referenced tables must be declared. `options` selects the
-// optional cost-based planning mode; the default produces the classic greedy plans.
+// declared in `catalog`. All referenced tables must be declared.
 Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
                                      const std::vector<std::string>& programs,
-                                     const Catalog& catalog,
-                                     const PlannerOptions& options = PlannerOptions());
+                                     const Catalog& catalog);
 
 }  // namespace boom
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "src/base/logging.h"
 
@@ -138,14 +137,33 @@ std::vector<Tuple> Table::Rows() const {
   return out;
 }
 
-const Tuple* Table::ProbeKey(const TupleView& key) {
+const Tuple* Table::ProbeKey(const std::vector<size_t>& cols, const Value* vals) {
   ++probes_;
-  auto it = rows_.find(key);
+  // Usually the key columns lead `cols`, so `vals` starts with the key and only the probe
+  // columns after it need checking. Otherwise project the key out and check every column.
+  const size_t key_size = effective_key_.size();
+  const Value* key_vals = vals;
+  size_t check_from = key_size;
+  if (!std::equal(effective_key_.begin(), effective_key_.end(), cols.begin())) {
+    project_scratch_.clear();
+    for (size_t col : effective_key_) {
+      project_scratch_.push_back(vals[std::find(cols.begin(), cols.end(), col) - cols.begin()]);
+    }
+    key_vals = project_scratch_.data();
+    check_from = 0;
+  }
+  auto it = rows_.find(TupleView::Of(key_vals, key_size));
   if (it == rows_.end()) {
     return nullptr;
   }
+  const Tuple& row = it->second;
+  for (size_t i = check_from; i < cols.size(); ++i) {
+    if (!(row[cols[i]] == vals[i])) {
+      return nullptr;
+    }
+  }
   ++probe_hits_;
-  return &it->second;
+  return &row;
 }
 
 const Index& Table::GetIndex(const std::vector<size_t>& cols) {
@@ -182,19 +200,6 @@ const std::vector<const Tuple*>& Table::Probe(const std::vector<size_t>& cols,
   }
   ++probe_hits_;
   return it->second;
-}
-
-uint64_t Table::DistinctCount(size_t col) const {
-  if (col >= def_.arity()) {
-    return 0;
-  }
-  std::unordered_set<Tuple, TupleHash, TupleEq> values;
-  values.reserve(rows_.size());
-  const std::vector<size_t> cols{col};
-  for (const auto& [key, row] : rows_) {
-    values.insert(row.Project(cols));
-  }
-  return values.size();
 }
 
 void Table::AssertProbeFresh(uint64_t generation) const {

@@ -85,11 +85,11 @@ class Table {
   // mutation of that key.
   const Tuple* LookupByKey(const Tuple& key) const;
   bool Contains(const Tuple& tuple) const;
-  // Key-lookup probe path: `key` holds the values of key_columns(), in that order. Counted
-  // in probes()/probe_hits() like an index probe.
-  const Tuple* ProbeKey(const TupleView& key);
-  // Effective key columns, in the order the row map's keys store them.
-  const std::vector<size_t>& key_columns() const { return effective_key_; }
+  // Key-lookup probe path: `cols` cover every effective key column and `vals[i]` is the
+  // value probed in column cols[i]. Returns the row holding that key if it also agrees on
+  // every other probe column, else nullptr. Counted in probes()/probe_hits() like an index
+  // probe, so a hit means a row the evaluator will accept.
+  const Tuple* ProbeKey(const std::vector<size_t>& cols, const Value* vals);
 
   // Snapshot of all rows (copy; used where mutation during iteration is possible).
   std::vector<Tuple> Rows() const;
@@ -112,11 +112,6 @@ class Table {
   const std::vector<const Tuple*>& Probe(const std::vector<size_t>& cols,
                                          const TupleView& probe);
 
-  // Builds the secondary index on `cols` now if it does not exist yet. Once built, an index
-  // stays current through every mutation, so later Probe(cols, ...) calls are pure reads.
-  // The optimizer warms every index its plans will probe right after a (re)compile.
-  void WarmIndex(const std::vector<size_t>& cols) { GetIndex(cols); }
-
   // Generation token for probe-result validity: changes on every mutation that can move or
   // drop rows out of cached indexes (insert, replace, erase, clear, TTL expiry).
   uint64_t probe_generation() const { return version_; }
@@ -131,11 +126,6 @@ class Table {
 
   // Extracts the primary key projection from a full row.
   Tuple KeyOf(const Tuple& tuple) const { return tuple.Project(effective_key_); }
-
-  // Cost-model statistic: exact count of distinct values in column `col` by full scan.
-  // Order-independent (set-based), so the result is deterministic regardless of hash-map
-  // iteration order — required for byte-identical re-planning per seed.
-  uint64_t DistinctCount(size_t col) const;
 
   // Runtime counters for perf_table / the metrics registry, covering both probe paths.
   // Plain integers: a table belongs to one engine, and a parallel Cluster runs each engine

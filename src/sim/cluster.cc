@@ -44,7 +44,6 @@ Engine& Cluster::AddOverlogNode(const std::string& address,
   opts.address = address;
   opts.seed = node.engine_seed;
   opts.id_salt = id_salt;
-  opts.enable_optimizer = options_.enable_engine_optimizer;
   node.engine = std::make_unique<Engine>(opts);
   node.init = std::move(init);
   if (node.init) {
@@ -457,7 +456,6 @@ void Cluster::RestartNode(const std::string& address, bool fresh_state) {
     opts.address = address;
     opts.seed = node->engine_seed + 1;
     opts.id_salt = node->id_salt;
-    opts.enable_optimizer = options_.enable_engine_optimizer;
     node->engine = std::make_unique<Engine>(opts);
     if (node->init) {
       node->init(*node->engine);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/overlog/engine.h"
 #include "src/overlog/module.h"
 #include "src/overlog/parser.h"
+#include "src/telemetry/metrics.h"
 
 namespace boom {
 namespace {
@@ -182,6 +184,45 @@ h1 s(X) :- t(X);
   ASSERT_TRUE(engine.PublishProfile().ok());
   engine.Tick(1);
   EXPECT_TRUE(violations.empty()) << violations[0];
+}
+
+// perf_table carries each table's live row count, and ExportTableMetrics mirrors the
+// same per-table stats into the metrics registry without a publish tick.
+TEST(PublishProfile, PerfTablePublishesTableStats) {
+  Engine engine(TestEngineOptions());
+  ASSERT_TRUE(InstallProfiling(engine).ok());
+  ASSERT_TRUE(engine
+                  .InstallSource(R"(
+    program t;
+    event probe(U);
+    table big(U, N);
+    table small(U, S) keys(0);
+    table out(U, N, S);
+    r1 out(U, N, S) :- probe(U), big(U, N), small(U, S), S == 1;
+    watch out;
+  )")
+                  .ok());
+  engine.Tick(0);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(engine.Enqueue("big", Tuple{Value(i), Value(i)}).ok());
+    ASSERT_TRUE(engine.Enqueue("small", Tuple{Value(i), Value(1)}).ok());
+    ASSERT_TRUE(engine.Enqueue("probe", Tuple{Value(i)}).ok());
+  }
+  engine.Tick(1);
+  ASSERT_TRUE(engine.PublishProfile().ok());
+  engine.Tick(2);
+  const Table& perf = engine.catalog().Get("perf_table");
+  std::map<std::string, int64_t> rows_of;
+  perf.ForEach([&rows_of](const Tuple& t) { rows_of[t[0].as_string()] = t[1].as_int(); });
+  EXPECT_EQ(rows_of["big"], 10);
+  EXPECT_EQ(rows_of["small"], 10);
+  EXPECT_EQ(rows_of["out"], 10);
+  EXPECT_EQ(rows_of["probe"], 0);  // events are empty between ticks
+
+  ExportTableMetrics(engine);
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  EXPECT_EQ(registry.gauge("engine.table.big.rows").value(), 10.0);
+  EXPECT_GE(registry.gauge("engine.table.small.probes").value(), 1.0);
 }
 
 }  // namespace

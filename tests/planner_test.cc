@@ -223,6 +223,31 @@ TEST(PlannerTest, ProbeColsUseBoundPositions) {
   EXPECT_EQ(v.steps[0].atom.probe_cols, (std::vector<size_t>{0}));
 }
 
+// Greedy most-bound-first breaks ties by body order: after the driver binds U, big(U, N)
+// and small(U, S) each have one bound argument, so big (first in the body) is probed
+// first even though small is keyed on U. Only small's probe covers its key.
+TEST(PlannerTest, GreedyTieProbesFirstBodyAtom) {
+  CompiledProgram c = MustCompile(R"(
+    program t;
+    event probe(U);
+    table big(U, N);
+    table small(U, S) keys(0);
+    table out(U, N, S);
+    r1 out(U, N, S) :- probe(U), big(U, N), small(U, S), S == 1;
+  )");
+  ASSERT_EQ(c.rules.size(), 1u);
+  for (const CompiledVariant* v : {&c.rules[0].full_variant, &c.rules[0].variants[0]}) {
+    ASSERT_EQ(v->driver_table, "probe");
+    ASSERT_GE(v->steps.size(), 2u);
+    EXPECT_EQ(v->steps[0].atom.table, "big");
+    EXPECT_EQ(v->steps[1].atom.table, "small");
+    for (const CompiledStep& step : v->steps) {
+      if (step.kind == BodyTerm::Kind::kAtom) {
+        EXPECT_EQ(step.atom.key_lookup, step.atom.table == "small") << step.atom.table;
+      }
+    }
+  }
+}
 
 TEST(PlannerTest, IncrementalAggEligibility) {
   CompiledProgram c = MustCompile(R"(

@@ -183,7 +183,7 @@ TEST_P(IndexMaintenanceProperty, ProbeAlwaysMatchesScan) {
       }
       // Key lookup: the row map's own entry, or nothing.
       const Value k(key(gen));
-      const Tuple* via_key = t.ProbeKey(TupleView::Of(&k, 1));
+      const Tuple* via_key = t.ProbeKey({0}, &k);
       const Tuple* scanned = nullptr;
       t.ForEach([&scanned, &k](const Tuple& row) {
         if (row[0] == k) {
@@ -345,6 +345,27 @@ TEST(TableTest, ReplaceEraseChurnNeverRebuilds) {
   EXPECT_EQ(table.size(), 31u);
   EXPECT_EQ(&table.Probe(by_value, Tuple{Value(310)}), untouched);
   EXPECT_EQ(table.index_rebuilds(), 0u);
+}
+
+// A key lookup whose probe columns include a bound non-key column counts a hit only when
+// the row also matches that column: the evaluator rejects the row otherwise, and
+// probe_hits() must agree with it.
+TEST(TableTest, KeyLookupHitRequiresExtraColumnMatch) {
+  Table t(KeyedDef());  // file(FileId keys(0), ParentId, Name)
+  t.Insert(Tuple{Value(1), Value(7), Value("a")});
+  const std::vector<size_t> key_and_parent{0, 1};
+
+  const Value miss[] = {Value(1), Value(8)};
+  EXPECT_EQ(t.ProbeKey(key_and_parent, miss), nullptr);
+  EXPECT_EQ(t.probes(), 1u);
+  EXPECT_EQ(t.probe_hits(), 0u);
+
+  const Value hit[] = {Value(1), Value(7)};
+  const Tuple* row = t.ProbeKey(key_and_parent, hit);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ((*row)[2], Value("a"));
+  EXPECT_EQ(t.probes(), 2u);
+  EXPECT_EQ(t.probe_hits(), 1u);
 }
 
 TEST(CatalogTest, DeclareAndFind) {

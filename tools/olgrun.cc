@@ -31,10 +31,8 @@ void Usage() {
                "  --dump LIST  dump only these tables at exit (default: all non-empty)\n"
                "  --trace      install the metaprogrammed tracing rewrite (trace_* tables)\n"
                "  --profile    per-rule profile: evals, tuples, wall time per rule\n"
-               "  --optimize   enable the cost-based optimizer (join reordering, index\n"
-               "               warming, tick-boundary re-planning)\n"
-               "  --explain    print the compiled plan (join orders, cost estimates,\n"
-               "               warm indexes) after install and at exit\n"
+               "  --explain    print the compiled plan after install: greedy join orders,\n"
+               "               probe columns, [key] for key lookups\n"
                "  --check      analyze only (strict): print diagnostics, do not run\n");
 }
 
@@ -74,7 +72,6 @@ int main(int argc, char** argv) {
   bool trace = false;
   bool profile = false;
   bool check_only = false;
-  bool optimize = false;
   bool explain = false;
   std::vector<std::string> dump_tables;
   for (int i = 1; i < argc; ++i) {
@@ -87,8 +84,6 @@ int main(int argc, char** argv) {
       trace = true;
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--optimize") {
-      optimize = true;
     } else if (arg == "--explain") {
       explain = true;
     } else if (arg == "--check") {
@@ -149,7 +144,6 @@ int main(int argc, char** argv) {
 
   boom::EngineOptions options;
   options.address = "olgrun";
-  options.enable_optimizer = optimize;
   boom::Engine engine(options);
   boom::Status status = engine.Install(*built);
   if (!status.ok()) {
@@ -228,12 +222,6 @@ int main(int argc, char** argv) {
   }
   if (profile) {
     PrintRuleProfile(engine);
-  }
-  if (explain && optimize && engine.stats().replans > 0) {
-    // Re-planning may have changed join orders since install; show the final plan too.
-    std::printf("-- plan after %llu re-plan(s) --\n",
-                static_cast<unsigned long long>(engine.stats().replans));
-    std::printf("%s", engine.ExplainPlan().c_str());
   }
   std::printf("-- %zu derivations, virtual time %.0f ms --\n", total_derivations, now);
   return 0;
