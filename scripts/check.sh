@@ -16,9 +16,11 @@
 # ASan smoke: rebuild with -DBOOM_SANITIZE=address, run the planner + telemetry + workload
 # + policy + overload tests under ASan (the tracer/registry hot paths are lock-free atomics
 # worth sanitizing; the generator, scheduler, and admission-gateway paths churn tuples hard),
-# then a 3-seed boomfs chaos sweep (corruption + slow-disk faults included via the
-# scenario's fault profile), so memory errors on the retry/quarantine/re-replication
-# paths surface even though the full chaos tier is too slow for every push.
+# then the data-plane tests (the interner's string_view keys and revive path, chunk payloads
+# shared by every replica, copy-on-corrupt), then a 3-seed boomfs chaos sweep (corruption +
+# slow-disk faults included via the scenario's fault profile), so memory errors on the
+# retry/quarantine/re-replication paths surface even though the full chaos tier is too slow
+# for every push.
 # TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine, sim and parallel tests
 # plus 4-thread chaos smokes of boomfs and federation. Parallelism lives only in the
 # Cluster, which ticks whole engines on pool threads (no planner code runs there: rules
@@ -63,7 +65,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DBOOM_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS" --target chaos_explorer telemetry_test \
     trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
-    federation_test planner_test join_order_test olglint olgrun
+    federation_test planner_test join_order_test olglint olgrun value_test boomfs_test \
+    integrity_test parallel_test
 
   echo "==> ASan planner smoke (ctest -L planner)"
   (cd build-asan && ctest -L planner --output-on-failure -j "$JOBS")
@@ -82,6 +85,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 
   echo "==> ASan lint smoke (ctest -L lint)"
   (cd build-asan && ctest -L lint --output-on-failure -j "$JOBS")
+
+  echo "==> ASan data-plane smoke (interner, shared chunk payloads, copy-on-corrupt)"
+  (cd build-asan && ctest -R 'ValueTest|InternerTest|FsTest|Integrity|ParallelInterner' \
+    --output-on-failure -j "$JOBS")
 
   echo "==> ASan chaos smoke (3 seeds x boomfs)"
   ./build-asan/tools/chaos_explorer --scenario=boomfs --seeds=3

@@ -491,8 +491,9 @@ void FsClient::WriteChunks(Cluster& cluster, std::shared_ptr<WriteJob> job) {
       return;
     }
     size_t len = std::min(options_.chunk_size, job->data.size() - job->next_offset);
-    std::string piece = job->data.substr(job->next_offset, len);
-    int64_t checksum = ChunkChecksum(piece);
+    // One payload Value per chunk: both attempts and every replica share its buffer.
+    Value piece(job->data.substr(job->next_offset, len));
+    int64_t checksum = ChunkChecksum(piece.as_string());
 
     auto advance = [this, &cluster, job, len] {
       job->next_offset += len;
@@ -506,7 +507,7 @@ void FsClient::WriteChunks(Cluster& cluster, std::shared_ptr<WriteJob> job) {
     ValueList pipeline(dns.begin() + 1, dns.end());
     const std::string& first = dns[0].as_string();
     cluster.Send(address(), first, kDnWrite,
-                 Tuple{Value(first), Value(chunk_id), Value(piece), Value(checksum),
+                 Tuple{Value(first), Value(chunk_id), piece, Value(checksum),
                        Value(std::move(pipeline)), Value(address()), Value(ack_req)});
     cluster.ScheduleAfter(
         options_.write_ack_timeout_ms,
@@ -523,7 +524,7 @@ void FsClient::WriteChunks(Cluster& cluster, std::shared_ptr<WriteJob> job) {
           for (const Value& d : dns) {
             const std::string& dn = d.as_string();
             cluster.Send(address(), dn, kDnWrite,
-                         Tuple{Value(dn), Value(chunk_id), Value(piece), Value(checksum),
+                         Tuple{Value(dn), Value(chunk_id), piece, Value(checksum),
                                Value(ValueList{}), Value(address()), Value(fan_req)});
           }
           cluster.ScheduleAfter(options_.write_ack_timeout_ms,
@@ -634,7 +635,7 @@ void FsClient::TryRead(Cluster& cluster, std::shared_ptr<ReadJob> job, int64_t c
   const std::string dn = locs[index].as_string();
   int64_t read_req = next_req_++;
   pending_reads_[read_req] = [this, &cluster, job, chunk_id, locs, index](
-                                 bool ok, std::string data, int64_t checksum) {
+                                 bool ok, const std::string& data, int64_t checksum) {
     if (!ok || ChunkChecksum(data) != checksum) {
       // Replica missing, quarantined, or the payload fails its own checksum: next replica.
       ClientCounter(ok ? "fs.client.read_checksum_reject" : "fs.client.read_replica_miss")

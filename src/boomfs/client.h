@@ -232,7 +232,7 @@ class FsClient : public Actor {
   size_t preferred_target_ = 0;
   int64_t next_req_ = 1;
   std::map<int64_t, PendingReq> pending_;
-  std::map<int64_t, std::function<void(bool, std::string, int64_t)>> pending_reads_;
+  std::map<int64_t, std::function<void(bool, const std::string&, int64_t)>> pending_reads_;
   std::map<int64_t, std::function<void()>> pending_acks_;
   uint64_t requests_sent_ = 0;
   double retry_tokens_ = 0;  // remaining retry budget (meaningful iff cap > 0)

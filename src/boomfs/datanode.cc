@@ -8,6 +8,14 @@ namespace boom {
 
 namespace {
 Counter& DnCounter(const char* name) { return MetricsRegistry::Global().counter(name); }
+
+// Copy-on-corrupt: a payload with byte `at` flipped. The original buffer is shared with the
+// other replicas (and messages in flight), so it is never mutated.
+Value FlipByte(const Value& data, size_t at) {
+  std::string bytes = data.as_string();
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x20);
+  return Value(std::move(bytes));
+}
 }  // namespace
 
 void DataNode::OnStart(Cluster& cluster) {
@@ -57,7 +65,7 @@ void DataNode::SendHeartbeat(Cluster& cluster, bool full_report) {
   });
 }
 
-void DataNode::StoreChunk(int64_t chunk_id, std::string data, int64_t checksum,
+void DataNode::StoreChunk(int64_t chunk_id, const Value& data, int64_t checksum,
                           Cluster& cluster) {
   auto it = chunks_.find(chunk_id);
   bool fresh = it == chunks_.end();
@@ -69,17 +77,17 @@ void DataNode::StoreChunk(int64_t chunk_id, std::string data, int64_t checksum,
   }
   DnCounter(fresh ? "fs.dn.chunk_store" : "fs.dn.chunk_rewrite").Add();
   StoredChunk& slot = chunks_[chunk_id];
-  slot.data = std::move(data);
+  slot.data = data;
   slot.checksum = checksum;
   quarantined_.erase(chunk_id);  // a fresh verified copy supersedes any quarantine
   // Disk-corruption fault: the bytes rot at rest, after the store-time verification; the
   // stored checksum keeps the writer's value, so serve-time verification catches it.
   DiskFaults disk = cluster.disk_faults(address());
-  if (disk.corrupt_prob > 0 && !slot.data.empty() &&
-      cluster.rng().Bernoulli(disk.corrupt_prob)) {
-    size_t at = static_cast<size_t>(cluster.rng().UniformInt(
-        0, static_cast<int64_t>(slot.data.size()) - 1));
-    slot.data[at] = static_cast<char>(slot.data[at] ^ 0x20);
+  size_t size = slot.data.as_string().size();
+  if (disk.corrupt_prob > 0 && size > 0 && cluster.rng().Bernoulli(disk.corrupt_prob)) {
+    size_t at = static_cast<size_t>(
+        cluster.rng().UniformInt(0, static_cast<int64_t>(size) - 1));
+    slot.data = FlipByte(slot.data, at);
   }
   if (fresh) {
     // Incremental report so the NameNodes learn the location without waiting for the next
@@ -112,7 +120,7 @@ void DataNode::SendReplica(int64_t chunk_id, const std::string& dest, int attemp
   }
   // The serve-corrupt bug variant skips source verification and recomputes the checksum
   // over whatever bytes are on disk — modeling a data plane without end-to-end checksums.
-  int64_t actual = ChunkChecksum(it->second.data);
+  int64_t actual = ChunkChecksum(it->second.data.as_string());
   if (options_.verify_reads && actual != it->second.checksum) {
     repl_inflight_.erase({chunk_id, dest});
     Quarantine(chunk_id, cluster);
@@ -121,7 +129,7 @@ void DataNode::SendReplica(int64_t chunk_id, const std::string& dest, int attemp
   int64_t req = next_repl_req_++;
   repl_reqs_[req] = {chunk_id, dest};
   cluster.Send(address(), dest, kDnWrite,
-               Tuple{Value(dest), Value(chunk_id), Value(it->second.data),
+               Tuple{Value(dest), Value(chunk_id), it->second.data,
                      Value(options_.verify_reads ? it->second.checksum : actual),
                      Value(ValueList{}), Value(address()), Value(req)},
                DiskDelayMs(cluster));
@@ -148,11 +156,11 @@ void DataNode::OnMessage(const Message& msg, Cluster& cluster) {
   if (msg.table == kDnWrite) {
     // (To, ChunkId, Data, Checksum, Pipeline, AckTo, ReqId)
     int64_t chunk_id = msg.tuple[1].as_int();
-    const std::string& data = msg.tuple[2].as_string();
+    const Value& data = msg.tuple[2];
     int64_t checksum = msg.tuple[3].as_int();
     const ValueList& pipeline = msg.tuple[4].as_list();
     const std::string& ack_to = msg.tuple[5].as_string();
-    if (ChunkChecksum(data) != checksum) {
+    if (ChunkChecksum(data.as_string()) != checksum) {
       // Mangled in transit: refuse the store (no report, no forward, no ack) — the writer
       // times out and retries.
       DnCounter("fs.dn.write_reject").Add();
@@ -166,7 +174,7 @@ void DataNode::OnMessage(const Message& msg, Cluster& cluster) {
       ValueList rest(pipeline.begin() + 1, pipeline.end());
       const std::string& next = pipeline[0].as_string();
       cluster.Send(address(), next, kDnWrite,
-                   Tuple{Value(next), Value(chunk_id), Value(data), msg.tuple[3],
+                   Tuple{Value(next), Value(chunk_id), data, msg.tuple[3],
                          Value(std::move(rest)), msg.tuple[5], msg.tuple[6]},
                    DiskDelayMs(cluster));
     } else if (!ack_to.empty()) {
@@ -200,7 +208,7 @@ void DataNode::OnMessage(const Message& msg, Cluster& cluster) {
                    DiskDelayMs(cluster));
       return;
     }
-    int64_t actual = ChunkChecksum(it->second.data);
+    int64_t actual = ChunkChecksum(it->second.data.as_string());
     if (options_.verify_reads && actual != it->second.checksum) {
       // Rotted at rest: never serve it. Quarantine + report; the client fails over to
       // another replica and the NameNode re-replicates from a healthy one.
@@ -214,7 +222,7 @@ void DataNode::OnMessage(const Message& msg, Cluster& cluster) {
     // With verification off (serve-corrupt bug variant) the checksum is recomputed over
     // the on-disk bytes, so a client cannot tell the data rotted.
     cluster.Send(address(), client, kDnReadData,
-                 Tuple{Value(client), msg.tuple[3], Value(true), Value(it->second.data),
+                 Tuple{Value(client), msg.tuple[3], Value(true), it->second.data,
                        Value(options_.verify_reads ? it->second.checksum : actual)},
                  DiskDelayMs(cluster));
     return;
@@ -246,17 +254,17 @@ void DataNode::OnMessage(const Message& msg, Cluster& cluster) {
 size_t DataNode::stored_bytes() const {
   size_t total = 0;
   for (const auto& [id, stored] : chunks_) {
-    total += stored.data.size();
+    total += stored.data.as_string().size();
   }
   return total;
 }
 
 bool DataNode::CorruptStoredChunk(int64_t chunk_id) {
   auto it = chunks_.find(chunk_id);
-  if (it == chunks_.end() || it->second.data.empty()) {
+  if (it == chunks_.end() || it->second.data.as_string().empty()) {
     return false;
   }
-  it->second.data[0] = static_cast<char>(it->second.data[0] ^ 0x20);
+  it->second.data = FlipByte(it->second.data, 0);
   return true;
 }
 

@@ -65,21 +65,24 @@ class DataNode : public Actor {
   // Total stored bytes (for tests / examples).
   size_t stored_bytes() const;
 
-  // Test hook: silently flips a byte of a stored chunk without touching its checksum,
-  // simulating corruption at rest. Returns false when the chunk is not stored here.
+  // Test hook: silently flips a byte of this replica's copy of a stored chunk without
+  // touching its checksum, simulating corruption at rest. Returns false when the chunk is
+  // not stored here.
   bool CorruptStoredChunk(int64_t chunk_id);
   bool IsQuarantined(int64_t chunk_id) const { return quarantined_.count(chunk_id) > 0; }
   size_t quarantined_count() const { return quarantined_.size(); }
 
  private:
   struct StoredChunk {
-    std::string data;
+    // The payload Value the writer created: every hop, replica and read shares its one
+    // interned buffer. Corruption at rest replaces it with a private copy.
+    Value data;
     int64_t checksum = 0;  // the writer's checksum, carried end-to-end
   };
 
   void HeartbeatLoop(Cluster& cluster);
   void SendHeartbeat(Cluster& cluster, bool full_report);
-  void StoreChunk(int64_t chunk_id, std::string data, int64_t checksum, Cluster& cluster);
+  void StoreChunk(int64_t chunk_id, const Value& data, int64_t checksum, Cluster& cluster);
   // Drops a replica that failed its checksum and reports it to every NameNode.
   void Quarantine(int64_t chunk_id, Cluster& cluster);
   // One attempt of an acked replication copy; re-arms itself until acked or exhausted.

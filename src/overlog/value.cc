@@ -5,6 +5,7 @@
 #include <functional>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 namespace boom {
@@ -16,7 +17,9 @@ namespace {
 // global mutex. Entries are weakly held: the last Value handle's destructor removes the
 // entry (via the shared_ptr deleter), so long-lived engines do not accumulate strings for
 // tuples that have been retracted. (Exception: each thread's fast-path cache in
-// InternString pins up to 256 recently interned strings — see InvalidateInternCaches.) The
+// InternString pins up to 256 recently interned short strings — see InvalidateInternCaches.)
+// Each map key is a string_view of its own entry's InternedString::text, so every string is
+// stored once; an entry is always erased or re-keyed before the text it views is freed. The
 // instance is intentionally leaked so Values with static storage duration can run their
 // deleters during process exit.
 class InternTable {
@@ -40,10 +43,11 @@ class InternTable {
     raw->hash = hash;  // precomputed by InternString (std::hash<std::string>)
     InternedStringPtr handle(raw, [](const InternedString* p) { Instance().Remove(p); });
     if (it != shard.map.end()) {
-      it->second = handle;  // revive an entry whose deleter has not run yet
-    } else {
-      shard.map.emplace(raw->text, handle);
+      // Revive an entry whose deleter has not run yet. Its key views the dying string's
+      // text, which that deleter frees, so re-key the entry on the new handle's text.
+      shard.map.erase(it);
     }
+    shard.map.emplace(raw->text, handle);
     return handle;
   }
 
@@ -65,7 +69,8 @@ class InternTable {
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, std::weak_ptr<const InternedString>> map;
+    // Keys view the text of the InternedString their value refers to.
+    std::unordered_map<std::string_view, std::weak_ptr<const InternedString>> map;
   };
 
   Shard& ShardFor(size_t hash) { return shards_[hash & (kShards - 1)]; }
@@ -98,6 +103,9 @@ struct InternCacheEntry {
   InternedStringPtr ptr;
 };
 constexpr size_t kInternCacheSlots = 256;  // power of two
+// Longer strings (chunk payloads, say) bypass the cache so it never pins one after its last
+// Value dies.
+constexpr size_t kInternCacheMaxLength = 256;
 struct InternCache {
   uint64_t generation = 0;
   InternCacheEntry slots[kInternCacheSlots];
@@ -126,7 +134,11 @@ int KindRank(ValueKind k) {
 InternedStringPtr InternString(std::string s) {
   // Lock-free fast path: a small direct-mapped per-thread cache of recent interns. Workloads
   // repeat the same literals (table names, commands, payload tags), so most interns hit here
-  // and never touch the sharded table.
+  // and never touch the sharded table. Strings longer than kInternCacheMaxLength skip it.
+  size_t h = std::hash<std::string>{}(s);
+  if (s.size() > kInternCacheMaxLength) {
+    return InternTable::Instance().Intern(std::move(s), h);
+  }
   InternCache& cache = g_intern_cache;
   uint64_t gen = g_intern_cache_gen.load(std::memory_order_relaxed);
   if (cache.generation != gen) {
@@ -136,7 +148,6 @@ InternedStringPtr InternString(std::string s) {
     }
     cache.generation = gen;
   }
-  size_t h = std::hash<std::string>{}(s);
   InternCacheEntry& entry = cache.slots[h & (kInternCacheSlots - 1)];
   if (entry.ptr != nullptr && entry.hash == h && entry.ptr->text == s) {
     return entry.ptr;

@@ -10,7 +10,8 @@
 // equality, and a precomputed hash to probe with. The total order is unchanged (same-pointer
 // short-circuit, then lexicographic payload), so aggregates and sort-sensitive behaviour are
 // identical to the pre-interning engine. Entries die with their last Value: the interner
-// holds weak references and removes entries when the final handle drops.
+// holds weak references and removes entries when the final handle drops. Each string is
+// stored once: the interner's map keys view the entries' own text.
 
 #ifndef SRC_OVERLOG_VALUE_H_
 #define SRC_OVERLOG_VALUE_H_
@@ -39,12 +40,13 @@ using InternedStringPtr = std::shared_ptr<const InternedString>;
 
 // Returns the unique live handle for `s`, creating it if absent. Thread-safe: the backing
 // table is sharded by hash (16 shards, one mutex each), and each thread keeps a small
-// direct-mapped cache of recent interns in front of it.
+// direct-mapped cache of recent interns of 256 bytes or fewer in front of it.
 InternedStringPtr InternString(std::string s);
 // Live entries in the interner (diagnostics/tests).
 size_t InternedStringCount();
 
-// Each thread's InternString fast-path cache pins up to 256 recently interned strings. When
+// Each thread's InternString fast-path cache pins up to 256 recently interned strings of at
+// most 256 bytes each (longer strings, such as chunk payloads, are never cached). When
 // engines migrate across pool threads, those pins otherwise accumulate on whichever workers
 // happened to run them — making InternedStringCount() depend on scheduling and retaining
 // strings whose tuples are long gone. InvalidateInternCaches() marks every thread's cache

@@ -1,8 +1,13 @@
 // Data-plane integrity tests (ctest label: integrity): checksummed chunk stores with
-// last-writer-wins rewrite semantics, terminal client failure against dead NameNodes,
-// chunk abandonment, and NameNode safe mode for both implementations.
+// last-writer-wins rewrite semantics, replicas sharing one payload buffer with private
+// copy-on-corrupt, terminal client failure against dead NameNodes, chunk abandonment, and
+// NameNode safe mode for both implementations.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/boomfs/boomfs.h"
 #include "src/boomfs/protocol.h"
@@ -49,6 +54,109 @@ TEST(DataNodeIntegrityTest, RewriteIsLastWriterWins) {
   std::string got;
   ASSERT_TRUE(fs.ReadFile("/d/f", &got));
   EXPECT_EQ(got, rewrite);
+}
+
+// Records the dn_read_data answers sent to it, so a test can read one chunk from one
+// chosen DataNode.
+class ReadProbe : public Actor {
+ public:
+  using Actor::Actor;
+  void OnMessage(const Message& msg, Cluster& /*cluster*/) override {
+    if (msg.table == kDnReadData) {  // (Client, ReqId, Ok, Data, Checksum)
+      answers.push_back(msg.tuple);
+    }
+  }
+  std::vector<Tuple> answers;
+};
+
+// Every replica of a chunk holds the one payload Value the writer created: a
+// replication-3 write interns the payload once, and the entry dies with the last replica.
+TEST(DataNodeIntegrityTest, ReplicasShareOnePayload) {
+  Cluster cluster(101);
+  FsSetupOptions opts;
+  opts.kind = FsKind::kBoomFs;
+  opts.num_datanodes = 3;
+  opts.replication_factor = 3;
+  opts.chunk_size = 8192;
+  FsHandles handles = SetupFs(cluster, opts);
+  SyncFs fs(cluster, handles.client, /*timeout_ms=*/60000);
+  cluster.RunUntil(1000);
+  ASSERT_TRUE(fs.Mkdir("/d"));
+
+  // One chunk, long enough to skip the thread-local intern cache, and unique to this test.
+  std::string payload(4096, 'r');
+  payload.replace(0, 22, "replicas-share-payload");
+  ASSERT_TRUE(fs.WriteFile("/d/f", payload));
+  cluster.RunUntil(cluster.now() + 3000);  // every timeout armed by the write has fired
+  for (const std::string& dn : handles.datanodes) {
+    ASSERT_EQ(dynamic_cast<DataNode*>(cluster.actor(dn))->stored_bytes(), payload.size())
+        << dn;
+  }
+
+  // The payload is already interned (looking it up adds no entry), and the handle is
+  // shared by exactly the three replicas plus this lookup.
+  size_t count = InternedStringCount();
+  InternedStringPtr handle = InternString(payload);
+  EXPECT_EQ(InternedStringCount(), count);
+  EXPECT_EQ(handle.use_count(), 4);
+  std::weak_ptr<const InternedString> weak = handle;
+  handle.reset();
+
+  ASSERT_TRUE(fs.Rm("/d/f"));
+  cluster.RunUntil(cluster.now() + 3000);  // dn_delete reaches every DataNode
+  for (const std::string& dn : handles.datanodes) {
+    EXPECT_EQ(dynamic_cast<DataNode*>(cluster.actor(dn))->stored_bytes(), 0u) << dn;
+  }
+  EXPECT_TRUE(weak.expired()) << "payload outlived its last replica";
+  EXPECT_LT(InternedStringCount(), count);
+}
+
+// Corruption at rest copies the shared payload before flipping a byte: the other
+// replicas keep serving the original bytes, which still match the writer's checksum.
+TEST(DataNodeIntegrityTest, CorruptAtRestIsPrivateToOneReplica) {
+  Cluster cluster(101);
+  FsSetupOptions opts;
+  opts.kind = FsKind::kBoomFs;
+  opts.num_datanodes = 3;
+  opts.replication_factor = 3;
+  opts.chunk_size = 8192;
+  FsHandles handles = SetupFs(cluster, opts);
+  SyncFs fs(cluster, handles.client, /*timeout_ms=*/60000);
+  auto probe_actor = std::make_unique<ReadProbe>("probe");
+  ReadProbe* probe = probe_actor.get();
+  cluster.AddActor(std::move(probe_actor));
+  cluster.RunUntil(1000);
+  ASSERT_TRUE(fs.Mkdir("/d"));
+
+  const std::string payload(1024, 'c');
+  ASSERT_TRUE(fs.WriteFile("/d/f", payload));
+  Value chunks;
+  ASSERT_TRUE(fs.Op(kCmdChunks, "/d/f", &chunks));
+  ASSERT_EQ(chunks.as_list().size(), 1u);
+  int64_t chunk = chunks.as_list()[0].as_int();
+  cluster.RunUntil(cluster.now() + 2000);
+
+  const std::string& rotten = handles.datanodes[0];
+  ASSERT_TRUE(dynamic_cast<DataNode*>(cluster.actor(rotten))->CorruptStoredChunk(chunk));
+  for (size_t i = 0; i < handles.datanodes.size(); ++i) {
+    cluster.Send("probe", handles.datanodes[i], kDnRead,
+                 Tuple{Value(handles.datanodes[i]), Value(chunk), Value("probe"),
+                       Value(static_cast<int64_t>(i))});
+  }
+  cluster.RunUntil(cluster.now() + 500);
+
+  ASSERT_EQ(probe->answers.size(), handles.datanodes.size());
+  for (const Tuple& answer : probe->answers) {
+    const std::string& dn = handles.datanodes[static_cast<size_t>(answer[1].as_int())];
+    if (dn == rotten) {
+      EXPECT_FALSE(answer[2].Truthy()) << "corrupt replica was served";
+      continue;
+    }
+    ASSERT_TRUE(answer[2].Truthy()) << dn;
+    EXPECT_EQ(answer[3].as_string(), payload) << dn;
+    EXPECT_EQ(ChunkChecksum(answer[3].as_string()), answer[4].as_int()) << dn;
+    EXPECT_EQ(ChunkChecksum(answer[3].as_string()), ChunkChecksum(payload)) << dn;
+  }
 }
 
 // With every NameNode dead, namespace requests and composite reads terminate with

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,6 +207,34 @@ TEST(ParallelInterner, ConcurrentInternIsCanonical) {
       ASSERT_EQ(p.get(), canonical[i].get());
     }
   });
+}
+
+// Threads intern and drop the same strings in a tight loop, so handles die and revive
+// concurrently. The strings are longer than the thread-local cache admits, so nothing pins
+// them. A revived entry must be re-keyed on its new handle's text; a map key left viewing
+// the freed text of the dead handle shows up as a use-after-free under ASan or TSan.
+TEST(ParallelInterner, ChurnRevivesEntriesSafely) {
+  ThreadPool pool(3);
+  std::vector<std::string> texts;
+  for (int i = 0; i < 2; ++i) {  // few strings, so every thread contends on each
+    texts.push_back(std::string(300, static_cast<char>('a' + i)));
+  }
+  const size_t baseline = InternedStringCount();
+  pool.RunBatch(16, [&](size_t k) {
+    for (int rep = 0; rep < 20000; ++rep) {
+      const std::string& text = texts[(k + static_cast<size_t>(rep)) % texts.size()];
+      InternedStringPtr p = InternString(text);
+      ASSERT_EQ(p->text, text);
+      ASSERT_EQ(p->hash, std::hash<std::string>{}(text));
+    }
+  });
+  EXPECT_EQ(InternedStringCount(), baseline) << "a dropped long string stayed interned";
+  // Every entry still answers lookups with a canonical handle.
+  for (const std::string& text : texts) {
+    InternedStringPtr a = InternString(text);
+    EXPECT_EQ(a.get(), InternString(text).get());
+    EXPECT_EQ(a->text, text);
+  }
 }
 
 }  // namespace

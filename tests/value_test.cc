@@ -128,10 +128,22 @@ TEST(InternerTest, InternedStringCountTracksLiveStrings) {
     }
     EXPECT_EQ(InternedStringCount(), before + 1);
   }
-  // After the Values die the entry may stay pinned by the thread-local intern cache (up to
-  // 256 recent strings per thread), so the count does not necessarily drop — but it must
-  // never exceed one entry for the string.
+  // After the Values die the entry may stay pinned by the thread-local intern cache, which
+  // holds only short strings (up to 256 recent ones of at most 256 bytes per thread), so the
+  // count does not necessarily drop — but it must never exceed one entry for the string.
   EXPECT_LE(InternedStringCount(), before + 1);
+}
+
+TEST(InternerTest, LongStringsAreReleasedWithTheirLastValue) {
+  // A chunk-sized payload skips the thread-local cache, so nothing pins it once its last
+  // Value dies.
+  size_t before = InternedStringCount();
+  {
+    Value payload(std::string(64 * 1024, 'p'));
+    Value copy = payload;
+    EXPECT_EQ(InternedStringCount(), before + 1);
+  }
+  EXPECT_EQ(InternedStringCount(), before);
 }
 
 TEST(TupleTest, EqualityAndHash) {
