@@ -16,10 +16,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -399,154 +397,6 @@ WorkloadResult RunChurnProbe() {
   });
 }
 
-// ---------------------------------------------------------------------------
-// --json --threads N: parallel scaling workloads
-// ---------------------------------------------------------------------------
-//
-// Four independent engine shards hosted as cluster nodes, dispatched by the cluster's
-// parallel tick batcher. The shard count is fixed at any thread count, so tuples_per_sec
-// across --threads values measures strong scaling of the dispatcher (threads=1 runs the
-// same workload through the serial event loop). scripts/bench.sh sweeps --threads 1,2,4
-// into the parallel_scaling block of BENCH_engine.json; each count runs in its own
-// process, so the threads=1 leg never flips tuples into atomic-refcount mode.
-
-constexpr int kScalingShards = 4;
-
-// join_heavy: per shard, the string-keyed transitive closure of a 160-link chain. All
-// shard seed ticks land at t=0 and run as one parallel batch; each tick is a full
-// multi-round fixpoint, so nearly all wall time is inside the batch.
-WorkloadResult RunScalingJoinHeavy(size_t threads) {
-  constexpr int kChain = 160;
-  return BestOf([threads] {
-    ClusterOptions copts;
-    copts.worker_threads = threads;
-    Cluster cluster(1, copts);
-    // Shard-distinct node names: partitioned nodes hold disjoint data. (Sharing the same
-    // interned strings across shards would also make every worker bump the same refcount
-    // cache lines — measured as a >4x slowdown, a false-sharing artifact, not dispatch.)
-    auto node = [](int sh, int i) {
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "s%dn%04d", sh, i);
-      return std::string(buf);
-    };
-    for (int sh = 0; sh < kScalingShards; ++sh) {
-      Engine& engine =
-          cluster.AddOverlogNode("shard" + std::to_string(sh), [](Engine& e) {
-            BOOM_CHECK(e.InstallSource(R"(
-              program tc;
-              table link(X, Y);
-              table reach(X, Y);
-              r1 reach(X, Y) :- link(X, Y);
-              r2 reach(X, Z) :- link(X, Y), reach(Y, Z);
-            )")
-                           .ok());
-          });
-      for (int i = 0; i < kChain; ++i) {
-        BOOM_CHECK(
-            engine.Enqueue("link", Tuple{Value(node(sh, i)), Value(node(sh, i + 1))}).ok());
-      }
-    }
-    auto t0 = BenchClock::now();
-    cluster.RunUntil(0);
-    double ns = ElapsedNs(t0);
-    size_t reach = 0;
-    for (int sh = 0; sh < kScalingShards; ++sh) {
-      reach += cluster.engine("shard" + std::to_string(sh))->catalog().Get("reach").size();
-    }
-    BOOM_CHECK(reach == static_cast<size_t>(kScalingShards) * kChain * (kChain + 1) / 2);
-    return FromTotal(ns, static_cast<double>(reach));
-  });
-}
-
-// churn_heavy: per shard, the 64-family churn workload; each virtual millisecond delivers
-// a handful of keys to every shard, and the four resulting ticks run as one batch. Ticks
-// are small, so this measures how much dispatch overhead the batcher adds to fine-grained
-// work (the pessimistic end of the scaling table).
-WorkloadResult RunScalingChurnHeavy(size_t threads) {
-  constexpr int kFamilies = 64;
-  constexpr int kTicks = 400;
-  constexpr int kKeysPerTick = 4;
-  std::string source = "program churn;\n";
-  for (int f = 0; f < kFamilies; ++f) {
-    std::string n = std::to_string(f);
-    source += "table in" + n + "(K, V) keys(0);\n";
-    source += "table out" + n + "(K, V) keys(0);\n";
-    source += "c" + n + " out" + n + "(K, V) :- in" + n + "(K, V);\n";
-  }
-  return BestOf([&source, threads] {
-    ClusterOptions copts;
-    copts.worker_threads = threads;
-    Cluster cluster(1, copts);
-    for (int sh = 0; sh < kScalingShards; ++sh) {
-      cluster.AddOverlogNode("shard" + std::to_string(sh), [&source](Engine& e) {
-        BOOM_CHECK(e.InstallSource(source).ok());
-      });
-    }
-    cluster.RunUntil(0);  // seed ticks (one empty batch)
-    // Schedule every delivery up front; at each time t the delivery closures run first
-    // (older seq), then the four coalesced shard ticks form one parallel batch.
-    for (int t = 1; t <= kTicks; ++t) {
-      std::string table = "in" + std::to_string((t - 1) % kFamilies);
-      for (int sh = 0; sh < kScalingShards; ++sh) {
-        std::string addr = "shard" + std::to_string(sh);
-        std::string shard_tag = std::to_string(sh);  // shard-distinct payloads (see above)
-        for (int k = 0; k < kKeysPerTick; ++k) {
-          cluster.DeliverLocal(addr, table,
-                               Tuple{Value("s" + shard_tag + "key" + std::to_string(k)),
-                                     Value("s" + shard_tag + "v" + std::to_string(t) +
-                                           "_" + std::to_string(k))},
-                               static_cast<double>(t));
-        }
-      }
-    }
-    uint64_t before = 0;
-    for (int sh = 0; sh < kScalingShards; ++sh) {
-      before += cluster.engine("shard" + std::to_string(sh))->stats().derivations;
-    }
-    auto t0 = BenchClock::now();
-    cluster.RunUntil(kTicks + 1);
-    double ns = ElapsedNs(t0);
-    uint64_t derivations = 0;
-    for (int sh = 0; sh < kScalingShards; ++sh) {
-      derivations += cluster.engine("shard" + std::to_string(sh))->stats().derivations;
-    }
-    derivations -= before;
-    BOOM_CHECK(derivations ==
-               static_cast<uint64_t>(kScalingShards) * kTicks * kKeysPerTick);
-    return FromTotal(ns, static_cast<double>(derivations));
-  });
-}
-
-int JsonScalingMain(size_t threads) {
-  struct Entry {
-    const char* name;
-    WorkloadResult (*run)(size_t);
-  };
-  const Entry entries[] = {
-      {"join_heavy", RunScalingJoinHeavy},
-      {"churn_heavy", RunScalingChurnHeavy},
-  };
-  // Record the host's core count next to the numbers: on a single-core host the sweep
-  // measures dispatch + atomic-refcount overhead under timeslicing, not speedup, and the
-  // reader (and check_bench.py) must be able to tell which regime produced the block.
-  std::printf(
-      "{\n  \"bench\": \"micro_engine\",\n  \"threads\": %zu,\n  \"cores\": %u,\n"
-      "  \"workloads\": {\n",
-      threads, std::thread::hardware_concurrency());
-  bool first = true;
-  for (const Entry& e : entries) {
-    WorkloadResult r = e.run(threads);
-    if (!first) {
-      std::printf(",\n");
-    }
-    first = false;
-    std::printf("    \"%s\": {\"ns_per_op\": %.1f, \"tuples_per_sec\": %.0f}", e.name,
-                r.ns_per_op, r.ops_per_sec);
-  }
-  std::printf("\n  }\n}\n");
-  return 0;
-}
-
 int JsonMain() {
   struct Entry {
     const char* name;
@@ -581,19 +431,13 @@ int JsonMain() {
 
 int main(int argc, char** argv) {
   bool json = false;
-  size_t threads = 0;  // 0 = no --threads flag
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      long v = std::strtol(argv[++i], nullptr, 10);
-      threads = v < 1 ? 1 : static_cast<size_t>(v);
     }
   }
   if (json) {
-    // --threads selects the parallel scaling workloads (cluster-sharded join/churn);
-    // plain --json is the serial regression-gated set.
-    return threads > 0 ? boom::JsonScalingMain(threads) : boom::JsonMain();
+    return boom::JsonMain();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

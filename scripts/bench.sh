@@ -3,8 +3,7 @@
 # workloads, and rewrites BENCH_engine.json (the committed perf trajectory; read
 # docs/PERFORMANCE.md before editing workloads).
 #
-#   scripts/bench.sh                  # refresh "current" + "parallel_scaling" (threads 1,2,4)
-#   scripts/bench.sh --threads 1,2,4  # explicit thread counts for the scaling sweep
+#   scripts/bench.sh                  # refresh "current"
 #
 # The file keeps two sections:
 #   baseline — numbers recorded before the PR-4 fast-fixpoint work (interned values, CoW
@@ -19,19 +18,10 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-THREADS="1,2,4"
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --threads)
-      THREADS="$2"
-      shift 2
-      ;;
-    *)
-      echo "usage: scripts/bench.sh [--threads 1,2,4]" >&2
-      exit 2
-      ;;
-  esac
-done
+if [[ $# -gt 0 ]]; then
+  echo "usage: scripts/bench.sh" >&2
+  exit 2
+fi
 
 echo "==> Release build (bench targets)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -45,17 +35,7 @@ echo "==> micro_engine --json"
 echo "==> ablation_engine --json"
 ./build-release/bench/ablation_engine --json > "$tmpdir/ablation.json"
 
-# Parallel scaling sweep: the cluster-sharded workloads at each thread count in $THREADS.
-# One process per thread count — worker_threads > 1 flips tuple refcounts into their
-# sticky atomic mode, which would taint a threads=1 run in the same process. The numbers
-# land in the "parallel_scaling" block with the host's core count; on a single-core box
-# the sweep measures dispatch + atomic overhead, not speedup (docs/PERFORMANCE.md).
-for t in ${THREADS//,/ }; do
-  echo "==> micro_engine --json --threads $t"
-  ./build-release/bench/micro_engine --json --threads "$t" > "$tmpdir/scaling_$t.json"
-done
-
-python3 - "$tmpdir" "$THREADS" <<'PY'
+python3 - "$tmpdir" <<'PY'
 import json
 import sys
 
@@ -64,13 +44,6 @@ with open(tmpdir + "/micro.json") as f:
     micro = json.load(f)
 with open(tmpdir + "/ablation.json") as f:
     ablation = json.load(f)
-
-scaling = {"threads": {}}
-for t in sys.argv[2].split(","):
-    with open(tmpdir + "/scaling_%s.json" % t) as f:
-        run = json.load(f)
-    scaling["cores"] = run["cores"]
-    scaling["threads"][t] = run["workloads"]
 
 current = {
     "micro_engine": micro["workloads"],
@@ -91,7 +64,6 @@ doc["schema"] = "boom-bench-v1"
 doc["build_type"] = "Release"
 doc["units"] = {"ns_per_op": "nanoseconds per workload op", "tuples_per_sec": "ops per second"}
 doc["current"] = current
-doc["parallel_scaling"] = scaling
 
 with open("BENCH_engine.json", "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)

@@ -21,12 +21,11 @@
 # slow-disk faults included via the scenario's fault profile), so memory errors on the
 # retry/quarantine/re-replication paths surface even though the full chaos tier is too slow
 # for every push.
-# TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine, sim and parallel tests
-# plus 4-thread chaos smokes of boomfs and federation. Parallelism lives only in the
-# Cluster, which ticks whole engines on pool threads (no planner code runs there: rules
-# compile at install, on the coordinator); the leg races what those threads share (sticky
-# atomic tuple refcounts, interner shards, cluster tick batches) and checks that per-engine
-# state, such as the plain per-table probe counters, stays confined to one thread at a time. Federation hosts the most engines per cluster.
+# TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine and sim tests plus the
+# interner's concurrency cases. The simulator runs every engine on its one event loop; the
+# string interner is the one process-wide structure, so its sharded locks and thread-local
+# caches are what this leg races (InternerTest.ConcurrentInternIsCanonical and
+# InternerTest.ChurnRevivesEntriesSafely intern from plain std::threads).
 # Bench smoke: Release build of micro_engine, gated against the committed BENCH_engine.json
 # (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py), then the
 # system benchmark's smoke run (bench/system: oracle or determinism-guard failures fail).
@@ -66,7 +65,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j "$JOBS" --target chaos_explorer telemetry_test \
     trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
     federation_test planner_test join_order_test olglint olgrun value_test boomfs_test \
-    integrity_test parallel_test
+    integrity_test
 
   echo "==> ASan planner smoke (ctest -L planner)"
   (cd build-asan && ctest -L planner --output-on-failure -j "$JOBS")
@@ -87,7 +86,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   (cd build-asan && ctest -L lint --output-on-failure -j "$JOBS")
 
   echo "==> ASan data-plane smoke (interner, shared chunk payloads, copy-on-corrupt)"
-  (cd build-asan && ctest -R 'ValueTest|InternerTest|FsTest|Integrity|ParallelInterner' \
+  (cd build-asan && ctest -R 'ValueTest|InternerTest|FsTest|Integrity' \
     --output-on-failure -j "$JOBS")
 
   echo "==> ASan chaos smoke (3 seeds x boomfs)"
@@ -97,21 +96,14 @@ fi
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "==> TSan build"
   cmake -B build-tsan -S . -DBOOM_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target engine_test sim_test parallel_test \
-    chaos_explorer
+  cmake --build build-tsan -j "$JOBS" --target engine_test sim_test value_test
+
+  echo "==> TSan interner concurrency tests"
+  ./build-tsan/tests/value_test --gtest_filter='InternerTest.*'
 
   echo "==> TSan engine + sim tests"
   ./build-tsan/tests/engine_test
   ./build-tsan/tests/sim_test
-
-  echo "==> TSan parallel tests (ctest -L parallel: cluster 1-vs-N-thread byte identity)"
-  (cd build-tsan && ctest -L parallel --output-on-failure -j "$JOBS")
-
-  echo "==> TSan chaos smoke (2 seeds x boomfs, 4 cluster threads)"
-  ./build-tsan/tools/chaos_explorer --scenario=boomfs --seeds=2 --threads=4
-
-  echo "==> TSan chaos smoke (1 seed x federation, 4 cluster threads)"
-  ./build-tsan/tools/chaos_explorer --scenario=federation --seeds=1 --threads=4
 fi
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
@@ -119,23 +111,16 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-release -j "$JOBS" --target micro_engine >/dev/null
   fresh="$(mktemp)"
-  fresh_scaling="$(mktemp)"
   ./build-release/bench/micro_engine --json > "$fresh"
-  # threads=1 only: the serial baseline of the parallel sweep is host-independent; the
-  # multi-thread rows depend on core count and are never wall-clock gated.
-  ./build-release/bench/micro_engine --json --threads 1 > "$fresh_scaling"
-  if ! python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh" \
-      --fresh-scaling "$fresh_scaling"; then
+  if ! python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh"; then
     # One retry: these are wall-clock numbers and a loaded box can blow the tolerance
     # without any code change. A regression that reproduces twice is treated as real.
     echo "==> bench gate failed; retrying once"
     sleep 5
     ./build-release/bench/micro_engine --json > "$fresh"
-    ./build-release/bench/micro_engine --json --threads 1 > "$fresh_scaling"
-    python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh" \
-      --fresh-scaling "$fresh_scaling"
+    python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh"
   fi
-  rm -f "$fresh" "$fresh_scaling"
+  rm -f "$fresh"
 
   # System benchmark smoke: all four end-to-end workloads at 2% size, Release build. A
   # correctness-oracle failure, a failed op, or a determinism-guard mismatch (counters or

@@ -16,13 +16,7 @@ still carry every section with the expected schema:
                            included
   current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E
 
-With --fresh-scaling (a fresh `micro_engine --json --threads 1` run), the threads=1 row
-of the committed "parallel_scaling" block is gated the same way. Only threads=1 is ever
-gated: multi-thread numbers depend on the host's core count (the committed block records
-"cores"), so they are validated for shape and reported, never compared against wall-clock.
-
-Usage: check_bench.py --committed BENCH_engine.json --fresh fresh_micro.json \
-                      [--fresh-scaling fresh_scaling_t1.json]
+Usage: check_bench.py --committed BENCH_engine.json --fresh fresh_micro.json
 Exit code 0 on pass, 1 on any failure (failures are listed on stderr).
 """
 
@@ -40,8 +34,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--committed", required=True, help="path to BENCH_engine.json")
     parser.add_argument("--fresh", required=True, help="fresh `micro_engine --json` output")
-    parser.add_argument("--fresh-scaling", default=None,
-                        help="fresh `micro_engine --json --threads 1` output (optional)")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional ns_per_op regression (default 0.25)")
     args = parser.parse_args()
@@ -83,39 +75,6 @@ def main():
                 f"{committed_ns:.1f} (limit {limit:.1f})")
             status = "REGRESSED"
         print(f"  {name:24s} committed {committed_ns:>10.1f}  fresh {fresh_ns:>10.1f}  {status}")
-
-    # Shape check on the committed parallel_scaling block: the sweep must cover 1/2/4
-    # threads and record the core count it ran on.
-    scaling = committed.get("parallel_scaling")
-    if not isinstance(scaling, dict):
-        errors += fail("committed file missing parallel_scaling block")
-    else:
-        if "cores" not in scaling:
-            errors += fail("parallel_scaling missing 'cores'")
-        for t in ("1", "2", "4"):
-            if t not in scaling.get("threads", {}):
-                errors += fail(f"parallel_scaling missing threads={t} row")
-
-    if args.fresh_scaling and isinstance(scaling, dict):
-        with open(args.fresh_scaling) as f:
-            fresh_t1 = json.load(f)
-        committed_t1 = scaling.get("threads", {}).get("1", {})
-        fresh_t1_workloads = fresh_t1.get("workloads", {})
-        for name, entry in sorted(committed_t1.items()):
-            if name not in fresh_t1_workloads:
-                errors += fail(f"scaling workload '{name}' missing from fresh threads=1 run")
-                continue
-            committed_ns = entry["ns_per_op"]
-            fresh_ns = fresh_t1_workloads[name].get("ns_per_op", float("inf"))
-            limit = committed_ns * (1.0 + args.tolerance)
-            status = "ok"
-            if fresh_ns > limit:
-                errors += fail(
-                    f"scaling workload '{name}' (threads=1) regressed: {fresh_ns:.1f} "
-                    f"ns/op vs committed {committed_ns:.1f} (limit {limit:.1f})")
-                status = "REGRESSED"
-            print(f"  scaling/{name:16s} committed {committed_ns:>10.1f}  "
-                  f"fresh {fresh_ns:>10.1f}  {status}")
 
     if errors:
         print(f"bench gate: {errors} failure(s)", file=sys.stderr)

@@ -19,7 +19,6 @@ ExplorerReport ExploreSeeds(const ExplorerOptions& options) {
   ChaosRunOptions run_opts;
   run_opts.horizon_ms = options.horizon_ms;
   run_opts.settle_ms = options.settle_ms;
-  run_opts.worker_threads = options.worker_threads;
 
   ScenarioOptions sopts;
   sopts.bug = options.bug;

@@ -30,9 +30,6 @@ struct ExplorerOptions {
   // from the seed, so the timeline is as byte-stable as the rest of the report.
   bool timeline = true;
   size_t timeline_traces = 2;  // full trees for this many largest traces
-  // Cluster worker threads per run (ClusterOptions::worker_threads). Reports must come out
-  // byte-identical at any value; this exists to exercise and time the parallel dispatcher.
-  size_t worker_threads = 1;
 };
 
 struct SeedOutcome {

@@ -14,9 +14,7 @@ ChaosRunResult RunChaosOnce(ChaosScenario& scenario, uint64_t seed,
   double settle = options.settle_ms > 0 ? options.settle_ms : scenario.default_settle_ms();
   scenario.set_horizon_ms(horizon);
 
-  ClusterOptions copts;
-  copts.worker_threads = options.worker_threads;
-  Cluster cluster(seed, copts);
+  Cluster cluster(seed);
   if (options.tracer != nullptr) {
     cluster.set_tracer(options.tracer);
   }

@@ -28,9 +28,6 @@ struct ChaosRunOptions {
   // ticks). Purely observational: span ids derive from the sim seed, never the sim Rng, so
   // attaching a tracer cannot perturb the schedule.
   Tracer* tracer = nullptr;
-  // Cluster worker threads (see ClusterOptions::worker_threads). Any value must reproduce
-  // the serial run byte-for-byte — enforced by the `parallel` determinism tests.
-  size_t worker_threads = 1;
 };
 
 struct ChaosRunResult {

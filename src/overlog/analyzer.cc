@@ -116,6 +116,7 @@ class Analyzer {
     CollectDeclarations();
     CheckDuplicateRules();
     CheckDuplicateTimers();
+    CheckTimerPeriods();
     CheckReferences();
     CheckBindings();
     CheckStratification();
@@ -216,6 +217,14 @@ class Analyzer {
         AddError("duplicate-timer",
                  "timer '" + timer.name + "' declared twice (the event would fire " +
                      "once per declaration)");
+      }
+    }
+  }
+
+  void CheckTimerPeriods() {
+    for (const TimerDecl& timer : program_.timers) {
+      if (!timer.valid_period()) {
+        AddError("bad-timer-period", BadTimerPeriodMessage(timer));
       }
     }
   }
@@ -562,6 +571,11 @@ class Analyzer {
 };
 
 }  // namespace
+
+std::string BadTimerPeriodMessage(const TimerDecl& timer) {
+  return "timer '" + timer.name + "' has period " + Value(timer.period_ms).ToString() +
+         " ms; the period must be finite and > 0";
+}
 
 std::string Diagnostic::ToString() const {
   std::string out = severity == DiagnosticSeverity::kError     ? "error["

@@ -86,6 +86,9 @@ struct AnalyzerReport {
 
 AnalyzerReport AnalyzeProgram(const Program& program, const AnalyzerOptions& options = {});
 
+// The `bad-timer-period` message for `timer`; Engine::Install rejects such a program with it.
+std::string BadTimerPeriodMessage(const TimerDecl& timer);
+
 }  // namespace boom
 
 #endif  // SRC_OVERLOG_ANALYZER_H_

@@ -13,6 +13,7 @@
 #ifndef SRC_OVERLOG_AST_H_
 #define SRC_OVERLOG_AST_H_
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -144,6 +145,10 @@ struct Rule {
 struct TimerDecl {
   std::string name;
   double period_ms = 0;
+
+  // A timer re-arms at deadline + period, so a period that is not finite and positive
+  // would never move past the current time (the analyzer's `bad-timer-period`).
+  bool valid_period() const { return period_ms > 0 && std::isfinite(period_ms); }
 };
 
 struct Fact {

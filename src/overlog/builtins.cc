@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/base/strings.h"
 
@@ -30,6 +31,19 @@ namespace {
 
 bool BothInt(const Value& a, const Value& b) { return a.is_int() && b.is_int(); }
 
+// Integer +, -, * that report signed overflow instead of wrapping (which is UB in C++).
+Result<Value> CheckedIntArith(char op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  bool overflow = op == '+'   ? __builtin_add_overflow(a, b, &out)
+                  : op == '-' ? __builtin_sub_overflow(a, b, &out)
+                              : __builtin_mul_overflow(a, b, &out);
+  if (overflow) {
+    return InvalidArgument("integer overflow in " + std::to_string(a) + " " + op + " " +
+                           std::to_string(b));
+  }
+  return Value(out);
+}
+
 Result<Value> Arith(const std::string& op, const Value& a, const Value& b) {
   if (op == "+" && a.is_string() && b.is_string()) {
     return Value(a.as_string() + b.as_string());
@@ -44,19 +58,21 @@ Result<Value> Arith(const std::string& op, const Value& a, const Value& b) {
     return InvalidArgument("operator '" + op + "' on non-numeric values " + a.ToString() +
                            ", " + b.ToString());
   }
-  if (op == "+") {
-    return BothInt(a, b) ? Value(a.as_int() + b.as_int()) : Value(a.ToDouble() + b.ToDouble());
-  }
-  if (op == "-") {
-    return BothInt(a, b) ? Value(a.as_int() - b.as_int()) : Value(a.ToDouble() - b.ToDouble());
-  }
-  if (op == "*") {
-    return BothInt(a, b) ? Value(a.as_int() * b.as_int()) : Value(a.ToDouble() * b.ToDouble());
+  if (op == "+" || op == "-" || op == "*") {
+    if (BothInt(a, b)) {
+      return CheckedIntArith(op[0], a.as_int(), b.as_int());
+    }
+    double x = a.ToDouble();
+    double y = b.ToDouble();
+    return Value(op == "+" ? x + y : op == "-" ? x - y : x * y);
   }
   if (op == "/") {
     if (BothInt(a, b)) {
       if (b.as_int() == 0) {
         return InvalidArgument("integer division by zero");
+      }
+      if (a.as_int() == std::numeric_limits<int64_t>::min() && b.as_int() == -1) {
+        return InvalidArgument("integer overflow in " + a.ToString() + " / -1");
       }
       return Value(a.as_int() / b.as_int());
     }
@@ -66,9 +82,14 @@ Result<Value> Arith(const std::string& op, const Value& a, const Value& b) {
     if (!BothInt(a, b) || b.as_int() == 0) {
       return InvalidArgument("'%' requires integers with a nonzero divisor");
     }
-    int64_t m = a.as_int() % b.as_int();
+    int64_t d = b.as_int();
+    if (d == -1) {
+      return Value(int64_t{0});  // INT64_MIN % -1 traps in hardware; the answer is 0
+    }
+    // Non-negative result; |m| < |d|, so neither adjustment can overflow.
+    int64_t m = a.as_int() % d;
     if (m < 0) {
-      m += std::abs(b.as_int());
+      m = d > 0 ? m + d : m - d;
     }
     return Value(m);
   }

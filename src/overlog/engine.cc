@@ -87,6 +87,12 @@ Status Engine::InstallSource(std::string_view source, std::map<std::string, Valu
 }
 
 Status Engine::Install(Program program) {
+  // Checked before any state changes: a timer that cannot advance would spin Tick forever.
+  for (const TimerDecl& timer : program.timers) {
+    if (!timer.valid_period()) {
+      return InvalidArgument("bad-timer-period: " + BadTimerPeriodMessage(timer));
+    }
+  }
   // Externs are declare-or-verify: Catalog::Declare is a no-op for an identical existing
   // declaration and an error for a conflicting one, which is exactly the contract an
   // `extern` schema expectation wants. When the owner is not installed yet, this creates

@@ -128,8 +128,7 @@ class Table {
   Tuple KeyOf(const Tuple& tuple) const { return tuple.Project(effective_key_); }
 
   // Runtime counters for perf_table / the metrics registry, covering both probe paths.
-  // Plain integers: a table belongs to one engine, and a parallel Cluster runs each engine
-  // on one thread at a time.
+  // Plain integers: a table belongs to one engine, and an engine runs on one thread.
   uint64_t probes() const { return probes_; }
   uint64_t probe_hits() const { return probe_hits_; }
   // Full rebuilds of an already-built index. Indexes are maintained in place, so this is

@@ -9,22 +9,15 @@
 // declared with TupleHash/TupleEq support heterogeneous lookup, so the evaluator's join
 // probes never materialize a Tuple (no allocation on the probe path).
 //
-// Thread-compatibility note: the refcount field is an atomic, but in the default
-// (single-threaded) mode it is manipulated with plain relaxed load/store pairs — the
-// compiler emits the same unsynchronized increment the engine has always paid, so serial
-// performance is unchanged. Tuple::EnableConcurrentMode() flips a sticky process-wide flag
-// that switches refcounting to real fetch_add/fetch_sub; only a parallel Cluster enables it,
-// in its constructor, strictly before any worker thread exists, so every tuple that can
-// cross threads is counted atomically. An Engine never spawns threads of its own. The lazy hash
-// cache uses release/acquire atomics unconditionally (free on x86): concurrent readers may
-// both compute the hash, but they compute the same value, so the race is benign and clean
-// under TSan.
+// Thread-compatibility note: a Tuple is not shared across threads. Each Engine runs on the
+// thread that ticks it and the Cluster runs every engine on its one event loop, so the
+// refcount and the lazy hash cache are plain members. (The string interner behind Value is
+// process-wide and does its own locking.)
 
 #ifndef SRC_OVERLOG_TUPLE_H_
 #define SRC_OVERLOG_TUPLE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -55,16 +48,6 @@ class Tuple {
   // Copies a contiguous range (used with reusable scratch buffers; Value copies are cheap —
   // scalars or refcount bumps).
   Tuple(const Value* data, size_t n) : rep_(NewRepCopy(data, n)) {}
-
-  // Sticky switch to thread-safe refcounting. Must be called before any thread that shares
-  // tuples is spawned; there is deliberately no way back (a tuple created in concurrent
-  // mode may outlive the pool that motivated the switch).
-  static void EnableConcurrentMode() {
-    concurrent_mode_.store(true, std::memory_order_relaxed);
-  }
-  static bool concurrent_mode() {
-    return concurrent_mode_.load(std::memory_order_relaxed);
-  }
 
   Tuple(const Tuple& other) : rep_(other.rep_) {
     if (rep_ != nullptr) {
@@ -99,32 +82,28 @@ class Tuple {
   // Replaces column `i`. Clones the storage when shared (copy-on-write) and invalidates the
   // cached hash.
   void set(size_t i, Value v) {
-    if (rep_->refs.load(std::memory_order_acquire) > 1) {
+    if (rep_->refs > 1) {
       Rep* clone = NewRepCopy(rep_->vals(), rep_->size);
       Release(rep_);
       rep_ = clone;
     }
-    // Exclusive owner here (refs == 1 means no other thread can observe this rep).
     rep_->vals()[i] = std::move(v);
-    rep_->hash_valid.store(false, std::memory_order_relaxed);
+    rep_->hash_valid = false;
   }
 
   size_t hash() const {
     if (rep_ == nullptr) {
       return kEmptyHash;
     }
-    if (rep_->hash_valid.load(std::memory_order_acquire)) {
-      return rep_->hash.load(std::memory_order_relaxed);
+    if (!rep_->hash_valid) {
+      rep_->hash = HashValueRange(rep_->vals(), rep_->size);
+      rep_->hash_valid = true;
     }
-    // Concurrent fillers compute the same value; publish hash before the valid flag.
-    size_t h = HashValueRange(rep_->vals(), rep_->size);
-    rep_->hash.store(h, std::memory_order_relaxed);
-    rep_->hash_valid.store(true, std::memory_order_release);
-    return h;
+    return rep_->hash;
   }
   // Whether the hash cache is populated (tests). Shared across copies with the rep.
   bool hash_cached() const {
-    return rep_ == nullptr || rep_->hash_valid.load(std::memory_order_acquire);
+    return rep_ == nullptr || rep_->hash_valid;
   }
   // Whether this tuple shares storage with another (tests).
   bool shares_storage_with(const Tuple& other) const {
@@ -138,11 +117,8 @@ class Tuple {
     if (size() != other.size()) {
       return false;
     }
-    if (rep_ != nullptr && other.rep_ != nullptr &&
-        rep_->hash_valid.load(std::memory_order_acquire) &&
-        other.rep_->hash_valid.load(std::memory_order_acquire) &&
-        rep_->hash.load(std::memory_order_relaxed) !=
-            other.rep_->hash.load(std::memory_order_relaxed)) {
+    if (rep_ != nullptr && other.rep_ != nullptr && rep_->hash_valid &&
+        other.rep_->hash_valid && rep_->hash != other.rep_->hash) {
       return false;
     }
     for (size_t i = 0; i < size(); ++i) {
@@ -199,43 +175,22 @@ class Tuple {
  private:
   static constexpr size_t kEmptyHash = 0x12345678;  // == HashValueRange(nullptr, 0)
 
-  // Header of the single heap block holding a tuple's values: {Rep, Value[size]}. The
-  // refcount is an atomic manipulated non-atomically in serial mode (see the
-  // thread-compatibility note above).
+  // Header of the single heap block holding a tuple's values: {Rep, Value[size]}.
   struct Rep {
-    std::atomic<uint32_t> refs{1};
+    uint32_t refs = 1;
     uint32_t size = 0;
-    mutable std::atomic<size_t> hash{0};
-    mutable std::atomic<bool> hash_valid{false};
+    mutable size_t hash = 0;
+    mutable bool hash_valid = false;
 
     Value* vals() { return reinterpret_cast<Value*>(this + 1); }
     const Value* vals() const { return reinterpret_cast<const Value*>(this + 1); }
   };
   static_assert(sizeof(Rep) % alignof(Value) == 0,
                 "Value payload must start aligned after the Rep header");
-  static_assert(std::atomic<uint32_t>::is_always_lock_free &&
-                    std::atomic<size_t>::is_always_lock_free,
-                "Rep header atomics must be lock-free");
 
-  // Refcount ops: real RMW atomics in concurrent mode; plain load/store pairs (the
-  // single-threaded increment the compiler has always emitted) otherwise.
-  static void IncRef(Rep* rep) {
-    if (concurrent_mode()) {
-      rep->refs.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      rep->refs.store(rep->refs.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-    }
-  }
+  static void IncRef(Rep* rep) { ++rep->refs; }
   // Decrements; returns true when this was the last reference.
-  static bool DecRefToZero(Rep* rep) {
-    if (concurrent_mode()) {
-      return rep->refs.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    }
-    uint32_t prev = rep->refs.load(std::memory_order_relaxed);
-    rep->refs.store(prev - 1, std::memory_order_relaxed);
-    return prev == 1;
-  }
+  static bool DecRefToZero(Rep* rep) { return --rep->refs == 0; }
 
   // One allocation for header + values; the caller placement-constructs all `n` values.
   static Rep* AllocRep(size_t n) {
@@ -271,8 +226,6 @@ class Tuple {
     }
     ::operator delete(rep);
   }
-
-  static inline std::atomic<bool> concurrent_mode_{false};
 
   Rep* rep_ = nullptr;
 };

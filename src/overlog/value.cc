@@ -1,6 +1,5 @@
 #include "src/overlog/value.h"
 
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <mutex>
@@ -12,12 +11,12 @@ namespace boom {
 
 namespace {
 
-// Per-process string interner, sharded by hash so parallel cluster workers missing their
-// thread-local caches at the same instant contend on 1/16th of a lock each instead of one
-// global mutex. Entries are weakly held: the last Value handle's destructor removes the
-// entry (via the shared_ptr deleter), so long-lived engines do not accumulate strings for
-// tuples that have been retracted. (Exception: each thread's fast-path cache in
-// InternString pins up to 256 recently interned short strings — see InvalidateInternCaches.)
+// Per-process string interner, sharded by hash so threads missing their thread-local caches
+// at the same instant contend on 1/16th of a lock each instead of one global mutex. Entries
+// are weakly held: the last Value handle's destructor removes the entry (via the shared_ptr
+// deleter), so long-lived engines do not accumulate strings for tuples that have been
+// retracted. (Exception: each thread's fast-path cache in InternString pins up to 256
+// recently interned short strings.)
 // Each map key is a string_view of its own entry's InternedString::text, so every string is
 // stored once; an entry is always erased or re-keyed before the text it views is freed. The
 // instance is intentionally leaked so Values with static storage duration can run their
@@ -92,12 +91,7 @@ class InternTable {
   Shard shards_[kShards];
 };
 
-// Bumped by InvalidateInternCaches; every thread compares its cache's generation against
-// this on the InternString fast path (one relaxed load) and drops its pins on mismatch.
-std::atomic<uint64_t> g_intern_cache_gen{0};
-
-// The per-thread fast-path cache (defined outside InternString so the flush helper can
-// reach it).
+// The per-thread fast-path cache in front of the sharded table.
 struct InternCacheEntry {
   size_t hash = 0;
   InternedStringPtr ptr;
@@ -106,11 +100,7 @@ constexpr size_t kInternCacheSlots = 256;  // power of two
 // Longer strings (chunk payloads, say) bypass the cache so it never pins one after its last
 // Value dies.
 constexpr size_t kInternCacheMaxLength = 256;
-struct InternCache {
-  uint64_t generation = 0;
-  InternCacheEntry slots[kInternCacheSlots];
-};
-thread_local InternCache g_intern_cache;
+thread_local InternCacheEntry g_intern_cache[kInternCacheSlots];
 
 int KindRank(ValueKind k) {
   switch (k) {
@@ -139,16 +129,7 @@ InternedStringPtr InternString(std::string s) {
   if (s.size() > kInternCacheMaxLength) {
     return InternTable::Instance().Intern(std::move(s), h);
   }
-  InternCache& cache = g_intern_cache;
-  uint64_t gen = g_intern_cache_gen.load(std::memory_order_relaxed);
-  if (cache.generation != gen) {
-    // An invalidation happened since this thread last interned: drop every pin.
-    for (InternCacheEntry& e : cache.slots) {
-      e.ptr.reset();
-    }
-    cache.generation = gen;
-  }
-  InternCacheEntry& entry = cache.slots[h & (kInternCacheSlots - 1)];
+  InternCacheEntry& entry = g_intern_cache[h & (kInternCacheSlots - 1)];
   if (entry.ptr != nullptr && entry.hash == h && entry.ptr->text == s) {
     return entry.ptr;
   }
@@ -159,16 +140,6 @@ InternedStringPtr InternString(std::string s) {
 }
 
 size_t InternedStringCount() { return InternTable::Instance().LiveCount(); }
-
-void InvalidateInternCaches() {
-  g_intern_cache_gen.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FlushInternCacheForCurrentThread() {
-  for (InternCacheEntry& e : g_intern_cache.slots) {
-    e.ptr.reset();
-  }
-}
 
 double Value::ToDouble() const {
   switch (kind()) {

@@ -40,22 +40,12 @@ using InternedStringPtr = std::shared_ptr<const InternedString>;
 
 // Returns the unique live handle for `s`, creating it if absent. Thread-safe: the backing
 // table is sharded by hash (16 shards, one mutex each), and each thread keeps a small
-// direct-mapped cache of recent interns of 256 bytes or fewer in front of it.
+// direct-mapped cache of recent interns of 256 bytes or fewer in front of it. That cache pins
+// up to 256 recently interned short strings per thread until their slots are reused or the
+// thread exits; longer strings (chunk payloads, say) are never cached.
 InternedStringPtr InternString(std::string s);
 // Live entries in the interner (diagnostics/tests).
 size_t InternedStringCount();
-
-// Each thread's InternString fast-path cache pins up to 256 recently interned strings of at
-// most 256 bytes each (longer strings, such as chunk payloads, are never cached). When
-// engines migrate across pool threads, those pins otherwise accumulate on whichever workers
-// happened to run them — making InternedStringCount() depend on scheduling and retaining
-// strings whose tuples are long gone. InvalidateInternCaches() marks every thread's cache
-// stale (each thread drops its pins on its next InternString call);
-// FlushInternCacheForCurrentThread() drops the calling thread's pins immediately. Run the
-// flush on all pool workers (ThreadPool::Broadcast) to restore the exact serial retention
-// behavior.
-void InvalidateInternCaches();
-void FlushInternCacheForCurrentThread();
 
 class Value {
  public:

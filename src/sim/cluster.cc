@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "src/base/logging.h"
 
@@ -22,15 +23,7 @@ std::string Fmt1(const char* fmt, double v) {
 
 }  // namespace
 
-Cluster::Cluster(uint64_t seed, ClusterOptions options)
-    : options_(options), rng_(seed) {
-  if (options_.worker_threads > 1) {
-    // Flip tuple refcounts to concurrent mode before any worker thread exists; the flag is
-    // sticky for the process, so tuples created earlier are already in the atomic layout.
-    Tuple::EnableConcurrentMode();
-    worker_pool_ = std::make_unique<ThreadPool>(options_.worker_threads - 1);
-  }
-}
+Cluster::Cluster(uint64_t seed) : rng_(seed) {}
 
 Engine& Cluster::AddOverlogNode(const std::string& address,
                                 std::function<void(Engine&)> init,
@@ -395,9 +388,8 @@ void Cluster::ScheduleEngineTick(Node& node, double time_ms) {
   node.scheduled_tick = time_ms;
   std::string address = node.address;
   BOOM_CHECK(time_ms >= now_ms_) << "cannot schedule into the past";
-  Event ev{time_ms, seq_++, [this, address] { RunEngineTick(address); }, active_span_};
-  ev.node = address;
-  queue_.push(std::move(ev));
+  queue_.push(Event{time_ms, seq_++, [this, address] { RunEngineTick(address); },
+                    active_span_});
 }
 
 void Cluster::RunEngineTick(const std::string& address) {
@@ -505,10 +497,6 @@ void Cluster::StartActorsIfNeeded() {
 void Cluster::RunUntil(double until_ms) {
   StartActorsIfNeeded();
   while (!queue_.empty() && queue_.top().time <= until_ms) {
-    if (worker_pool_ != nullptr && !queue_.top().node.empty()) {
-      RunTickBatch();
-      continue;
-    }
     Event ev = queue_.top();
     queue_.pop();
     BOOM_CHECK(ev.time >= now_ms_);
@@ -527,10 +515,6 @@ bool Cluster::RunUntilIdle(double max_ms) {
       now_ms_ = max_ms;
       return false;
     }
-    if (worker_pool_ != nullptr && !queue_.top().node.empty()) {
-      RunTickBatch();
-      continue;
-    }
     Event ev = queue_.top();
     queue_.pop();
     now_ms_ = ev.time;
@@ -539,102 +523,6 @@ bool Cluster::RunUntilIdle(double max_ms) {
     active_span_ = {};
   }
   return true;
-}
-
-void Cluster::RunTickBatch() {
-  // Collect the maximal run of same-time tick events for distinct nodes. The run stops at
-  // a time change, at an ordinary closure (its side effects interleave with tick
-  // post-processing in the serial order), or at a second tick for a node already batched
-  // (serial semantics let it run as a queued-input follow-up after the first tick's
-  // post-processing, so it must observe that post-processing first).
-  const double batch_time = queue_.top().time;
-  std::vector<Event> batch;
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (top.time != batch_time || top.node.empty()) {
-      break;
-    }
-    bool duplicate = false;
-    for (const Event& taken : batch) {
-      if (taken.node == top.node) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) {
-      break;
-    }
-    batch.push_back(queue_.top());
-    queue_.pop();
-  }
-  BOOM_CHECK(batch_time >= now_ms_);
-  now_ms_ = batch_time;
-  if (batch.size() == 1) {
-    // Lone tick: the exact serial path (RunEngineTick does pre-check + tick + post).
-    active_span_ = batch[0].ctx;
-    batch[0].fn();
-    active_span_ = {};
-    return;
-  }
-  // Pre-checks in event order on the coordinator; they read and write only per-node state.
-  struct PendingTick {
-    Node* node = nullptr;
-    double tick_time = 0;
-    double skew = 0;
-    bool run = false;
-    Engine::TickResult result;
-  };
-  std::vector<PendingTick> pending(batch.size());
-  ++parallel_tick_batches_;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Node* node = FindNode(batch[i].node);
-    if (node == nullptr || !node->alive || !node->engine) {
-      continue;
-    }
-    if (node->scheduled_tick < 0 || node->scheduled_tick > now_ms_) {
-      continue;  // stale event (tick was rescheduled or node restarted)
-    }
-    node->scheduled_tick = -1;
-    double skew = clock_skews_.empty() ? 0.0 : clock_skew(batch[i].node);
-    pending[i].node = node;
-    pending[i].skew = skew;
-    pending[i].tick_time = std::max(now_ms_ + skew, node->engine->now());
-    pending[i].run = true;
-  }
-  // Engine ticks run concurrently: each touches only its own engine (sends surface in the
-  // returned TickResult; delivery always goes through a future queue event, so no tick in
-  // this batch could have observed another's output even in the serial order).
-  worker_pool_->RunBatch(batch.size(), [&](size_t i) {
-    if (pending[i].run) {
-      pending[i].result = pending[i].node->engine->Tick(pending[i].tick_time);
-    }
-  });
-  // Post-processing in event order on the coordinator: identical Rng draws, event seq
-  // assignments, trace lines, and span bookkeeping as serial execution of the batch.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!pending[i].run) {
-      continue;
-    }
-    Node* node = pending[i].node;
-    active_span_ = batch[i].ctx;
-    for (const std::string& err : pending[i].result.errors) {
-      BOOM_LOG(Warning) << node->address << ": " << err;
-    }
-    for (Engine::Send& send : pending[i].result.sends) {
-      Send(node->address, send.dest, send.table, std::move(send.tuple));
-    }
-    double next_timer = node->engine->NextTimerDeadline();
-    if (next_timer < std::numeric_limits<double>::infinity()) {
-      next_timer -= pending[i].skew;
-      // Background timer ticks get a cleared context, as in RunEngineTick.
-      SpanScope clear(*this, SpanContext{});
-      ScheduleEngineTick(*node, std::max(next_timer, now_ms_));
-    }
-    if (node->engine->HasQueuedInput()) {
-      ScheduleEngineTick(*node, now_ms_);
-    }
-    active_span_ = {};
-  }
 }
 
 }  // namespace boom

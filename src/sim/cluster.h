@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/thread_pool.h"
 #include "src/overlog/engine.h"
 #include "src/sim/random.h"
 #include "src/telemetry/span.h"
@@ -88,21 +87,9 @@ struct DiskFaults {
   bool active() const { return corrupt_prob > 0 || slow_ms > 0; }
 };
 
-struct ClusterOptions {
-  // Number of threads used to run same-timestamp engine ticks of distinct nodes
-  // concurrently (1 = serial dispatch, the exact historical event loop). Engine::Tick is
-  // the only thing that moves off the coordinator: per-event pre-checks and all
-  // post-processing — Rng sampling, Send routing, trace lines, span bookkeeping, tick
-  // rescheduling — replay in event (seq) order on the coordinator thread, so event
-  // schedules, Rng streams, and chaos traces are byte-identical at any thread count.
-  // Watch callbacks installed on hosted engines fire on worker threads; they must touch
-  // only engine-local state or thread-safe sinks (the telemetry registry qualifies).
-  size_t worker_threads = 1;
-};
-
 class Cluster {
  public:
-  explicit Cluster(uint64_t seed, ClusterOptions options = {});
+  explicit Cluster(uint64_t seed);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -278,10 +265,6 @@ class Cluster {
     uint64_t seq;
     std::function<void()> fn;
     SpanContext ctx;  // active span captured at scheduling time, restored when fn runs
-    // Engine-tick marker: the owning node's address (empty for ordinary closures). Lets
-    // the parallel dispatcher batch same-time ticks of distinct nodes without inspecting
-    // the type-erased fn.
-    std::string node;
     bool operator>(const Event& other) const {
       if (time != other.time) {
         return time > other.time;
@@ -302,21 +285,7 @@ class Cluster {
   void ScheduleEngineTick(Node& node, double time_ms);
   void RunEngineTick(const std::string& address);
   void StartActorsIfNeeded();
-  // Parallel dispatch: pops the maximal run of same-time tick events for distinct nodes
-  // off the queue top, runs Engine::Tick for them on the pool, then post-processes in
-  // event order. Caller guarantees worker_pool_ is set and queue_.top() is a tick event.
-  void RunTickBatch();
 
- public:
-  // Multi-node batches dispatched to the worker pool so far. 0 when worker_threads == 1;
-  // tests assert it moved to prove parallel dispatch engaged rather than degenerating to
-  // size-1 batches.
-  uint64_t parallel_tick_batches() const { return parallel_tick_batches_; }
-
- private:
-  ClusterOptions options_;
-  std::unique_ptr<ThreadPool> worker_pool_;
-  uint64_t parallel_tick_batches_ = 0;
   Rng rng_;
   LatencyModel latency_;
   std::map<std::string, Node> nodes_;

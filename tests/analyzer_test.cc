@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "src/base/logging.h"
 #include "src/overlog/analyzer.h"
+#include "src/overlog/engine.h"
 #include "src/overlog/parser.h"
 
 namespace boom {
@@ -94,6 +96,49 @@ TEST(AnalyzerTest, DuplicateTimer) {
   AnalyzerReport report = AnalyzeProgram(p);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(CountCode(report, "duplicate-timer"), 1u) << report.ToString();
+}
+
+// A period that never advances the deadline would make Engine::Tick re-fire the timer
+// forever; the analyzer flags it and Engine::Install refuses the program.
+TEST(AnalyzerTest, BadTimerPeriodLiteralZero) {
+  const std::string source = R"(
+    program t;
+    table seen(X);
+    timer tk(0);
+    r1 seen(X) :- tk(X);
+    watch seen;
+  )";
+  AnalyzerReport report = AnalyzeProgram(MustParse(source));
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(CountCode(report, "bad-timer-period"), 1u) << report.ToString();
+
+  Engine engine(EngineOptions{});
+  Status status = engine.InstallSource(source);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("bad-timer-period"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(engine.NextTimerDeadline(), std::numeric_limits<double>::infinity());
+}
+
+TEST(AnalyzerTest, BadTimerPeriodNegativeConstant) {
+  const std::string source = R"(
+    program t;
+    table seen(X);
+    timer tk(period);
+    r1 seen(X) :- tk(X);
+    watch seen;
+  )";
+  ParserOptions options;
+  options.consts["period"] = Value(int64_t{-5});
+  AnalyzerReport report = AnalyzeProgram(MustParse(source, options));
+  EXPECT_FALSE(report.ok());
+  const Diagnostic* d = FindCode(report, "bad-timer-period");
+  ASSERT_NE(d, nullptr) << report.ToString();
+  EXPECT_NE(d->message.find("-5"), std::string::npos) << d->message;
+
+  Engine engine(EngineOptions{});
+  EXPECT_FALSE(engine.InstallSource(source, {{"period", Value(int64_t{-5})}}).ok());
+  EXPECT_EQ(engine.NextTimerDeadline(), std::numeric_limits<double>::infinity());
 }
 
 TEST(AnalyzerTest, RedeclarationConflict) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/overlog/builtins.h"
 
 namespace boom {
@@ -45,6 +48,19 @@ TEST_F(BuiltinsTest, ArithmeticErrors) {
   EXPECT_FALSE(CallErr("%", {Value(1), Value(0)}).ok());
   EXPECT_FALSE(CallErr("+", {Value("a"), Value(1)}).ok());
   EXPECT_FALSE(CallErr("+", {Value(1)}).ok());  // arity
+  // Signed overflow is an evaluation error, never a wrap or a SIGFPE.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_FALSE(CallErr("/", {Value(kMin), Value(-1)}).ok());
+  EXPECT_FALSE(CallErr("+", {Value(kMax), Value(1)}).ok());
+  EXPECT_FALSE(CallErr("-", {Value(kMin), Value(1)}).ok());
+  EXPECT_FALSE(CallErr("*", {Value(kMax), Value(2)}).ok());
+  EXPECT_FALSE(CallErr("*", {Value(kMin), Value(-1)}).ok());
+  EXPECT_EQ(Call("%", {Value(kMin), Value(-1)}), Value(int64_t{0}));
+  EXPECT_EQ(Call("%", {Value(-1), Value(kMin)}), Value(kMax));
+  EXPECT_EQ(Call("%", {Value(-7), Value(-3)}), Value(int64_t{2}));
+  EXPECT_EQ(Call("/", {Value(kMin), Value(1)}), Value(kMin));
+  EXPECT_EQ(Call("+", {Value(kMax), Value(1.0)}), Value(static_cast<double>(kMax) + 1.0));
 }
 
 TEST_F(BuiltinsTest, StringPlusConcatenates) {

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/overlog/tuple.h"
@@ -144,6 +145,62 @@ TEST(InternerTest, LongStringsAreReleasedWithTheirLastValue) {
     EXPECT_EQ(InternedStringCount(), before + 1);
   }
   EXPECT_EQ(InternedStringCount(), before);
+}
+
+// Runs body(k) for k in [0, kInternThreads) on that many plain threads and joins them.
+constexpr size_t kInternThreads = 4;
+template <typename Fn>
+void RunOnThreads(Fn body) {
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < kInternThreads; ++k) {
+    threads.emplace_back(body, k);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+}
+
+// Concurrent interning of overlapping strings across threads: one canonical pointer per
+// string, shard mutexes doing their job (a TSan workload above all).
+TEST(InternerTest, ConcurrentInternIsCanonical) {
+  std::vector<InternedStringPtr> canonical(32);
+  for (size_t i = 0; i < canonical.size(); ++i) {
+    canonical[i] = InternString("shared_intern_" + std::to_string(i));
+  }
+  RunOnThreads([&](size_t k) {
+    for (int rep = 0; rep < 400; ++rep) {
+      size_t i = (k + static_cast<size_t>(rep)) % canonical.size();
+      InternedStringPtr p = InternString("shared_intern_" + std::to_string(i));
+      ASSERT_EQ(p.get(), canonical[i].get());
+    }
+  });
+}
+
+// Threads intern and drop the same strings in a tight loop, so handles die and revive
+// concurrently. The strings are longer than the thread-local cache admits, so nothing pins
+// them. A revived entry must be re-keyed on its new handle's text; a map key left viewing
+// the freed text of the dead handle shows up as a use-after-free under ASan or TSan.
+TEST(InternerTest, ChurnRevivesEntriesSafely) {
+  std::vector<std::string> texts;
+  for (int i = 0; i < 2; ++i) {  // few strings, so every thread contends on each
+    texts.push_back(std::string(300, static_cast<char>('a' + i)));
+  }
+  const size_t baseline = InternedStringCount();
+  RunOnThreads([&](size_t k) {
+    for (int rep = 0; rep < 80000; ++rep) {
+      const std::string& text = texts[(k + static_cast<size_t>(rep)) % texts.size()];
+      InternedStringPtr p = InternString(text);
+      ASSERT_EQ(p->text, text);
+      ASSERT_EQ(p->hash, std::hash<std::string>{}(text));
+    }
+  });
+  EXPECT_EQ(InternedStringCount(), baseline) << "a dropped long string stayed interned";
+  // Every entry still answers lookups with a canonical handle.
+  for (const std::string& text : texts) {
+    InternedStringPtr a = InternString(text);
+    EXPECT_EQ(a.get(), InternString(text).get());
+    EXPECT_EQ(a->text, text);
+  }
 }
 
 TEST(TupleTest, EqualityAndHash) {

@@ -32,7 +32,7 @@ void Usage() {
                "usage: chaos_explorer [--scenario=paxos|boomfs|boommr] [--seeds=N]\n"
                "                      [--seed0=N] [--bug=NAME] [--no-shrink]\n"
                "                      [--no-timeline] [--horizon=MS] [--settle=MS]\n"
-               "                      [--threads=N] [--verbose] [--list]\n");
+               "                      [--verbose] [--list]\n");
 }
 
 bool ParseFlag(const std::string& arg, const std::string& name, std::string* out) {
@@ -74,10 +74,6 @@ int main(int argc, char** argv) {
       options.horizon_ms = std::atof(value.c_str());
     } else if (ParseFlag(arg, "settle", &value)) {
       options.settle_ms = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "threads", &value)) {
-      // Same-time engine ticks of distinct nodes run on N threads; the report stays
-      // byte-identical to --threads=1 (determinism is enforced by the parallel tests).
-      options.worker_threads = static_cast<size_t>(std::max(1, std::atoi(value.c_str())));
     } else {
       Usage();
       return 2;

@@ -171,10 +171,14 @@ int main(int argc, char** argv) {
   }
 
   // Drive the engine: initial tick, then timer deadlines up to --until.
-  boom::Engine::TickResult result = engine.Tick(0);
-  size_t total_derivations = result.derivations;
+  size_t total_derivations = 0;
   double now = 0;
   while (true) {
+    boom::Engine::TickResult result = engine.Tick(now);
+    total_derivations += result.derivations;
+    for (const std::string& err : result.errors) {
+      std::fprintf(stderr, "warning: %s\n", err.c_str());
+    }
     double next = engine.NextTimerDeadline();
     if (engine.HasQueuedInput()) {
       next = now;  // deferred @next tuples: run another timestep immediately
@@ -183,11 +187,6 @@ int main(int argc, char** argv) {
       break;
     }
     now = std::max(now, next);
-    result = engine.Tick(now);
-    total_derivations += result.derivations;
-    for (const std::string& err : result.errors) {
-      std::fprintf(stderr, "warning: %s\n", err.c_str());
-    }
   }
 
   if (profile) {
