@@ -96,8 +96,8 @@ int main() {
               overhead);
   std::printf(
       "\nShape check vs paper: replication costs a constant factor per metadata op (the\n"
-      "Paxos round trips plus the proposer's batching tick) and message count grows with\n"
-      "the replica count; throughput-insensitive workloads tolerate it, which is the\n"
-      "paper's argument for hot-standby availability at modest cost.\n");
+      "Paxos accept round trip, started the instant a command arrives) and message count\n"
+      "grows with the replica count; throughput-insensitive workloads tolerate it, which is\n"
+      "the paper's argument for hot-standby availability at modest cost.\n");
   return 0;
 }

@@ -17,8 +17,10 @@
 # + policy + overload tests under ASan (the tracer/registry hot paths are lock-free atomics
 # worth sanitizing; the generator, scheduler, and admission-gateway paths churn tuples hard),
 # then the data-plane tests (the interner's string_view keys and revive path, chunk payloads
-# shared by every replica, copy-on-corrupt), then a 3-seed boomfs chaos sweep (corruption +
-# slow-disk faults included via the scenario's fault profile), so memory errors on the
+# shared by every replica, copy-on-corrupt), then the Paxos tests (the event-driven proposer
+# drain, the once-per-slot decide broadcast, learner catch-up, HA BOOM-FS and the Paxos
+# golden equivalence), then 3-seed paxos and boomfs chaos sweeps (corruption + slow-disk
+# faults included via the boomfs scenario's fault profile), so memory errors on the
 # retry/quarantine/re-replication paths surface even though the full chaos tier is too slow
 # for every push.
 # TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine and sim tests plus the
@@ -65,7 +67,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j "$JOBS" --target chaos_explorer telemetry_test \
     trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
     federation_test planner_test join_order_test olglint olgrun value_test boomfs_test \
-    integrity_test
+    integrity_test paxos_test program_equivalence_test
 
   echo "==> ASan planner smoke (ctest -L planner)"
   (cd build-asan && ctest -L planner --output-on-failure -j "$JOBS")
@@ -89,7 +91,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   (cd build-asan && ctest -R 'ValueTest|InternerTest|FsTest|Integrity' \
     --output-on-failure -j "$JOBS")
 
-  echo "==> ASan chaos smoke (3 seeds x boomfs)"
+  echo "==> ASan Paxos smoke (proposer drain, decide broadcast, sync catch-up, HA, goldens)"
+  (cd build-asan && ctest -R 'PaxosTest|HaFsTest|ProgramEquivalence' \
+    --output-on-failure -j "$JOBS")
+
+  echo "==> ASan chaos smoke (3 seeds x paxos, 3 seeds x boomfs)"
+  ./build-asan/tools/chaos_explorer --scenario=paxos --seeds=3
   ./build-asan/tools/chaos_explorer --scenario=boomfs --seeds=3
 fi
 

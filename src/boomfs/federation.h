@@ -77,12 +77,6 @@ Program PartitionMapProgram(const PartitionMapProgramOptions& options = {});
 
 // --- deployment ---
 
-// Default proposer drain tick for metadata-plane groups. The Paxos proposer assigns one
-// command per px_tick, so the tick rate is a hard ceiling on a group's namespace
-// throughput: the stock 10ms tick would cap every group at 100 ops/s regardless of how
-// fast the engine serves fed_requests.
-inline constexpr double kFedProposerTickMs = 1.0;
-
 struct FederatedFsOptions {
   int num_groups = 2;
   int replicas_per_group = 3;
@@ -98,13 +92,7 @@ struct FederatedFsOptions {
   int num_clients = 1;
   double pm_rebroadcast_ms = 1000;
   double freeze_retry_ms = 50;
-  // peers/my_index filled in per group; the fast drain tick keeps consensus off the
-  // critical path (see kFedProposerTickMs).
-  PaxosProgramOptions paxos = [] {
-    PaxosProgramOptions p;
-    p.tick_period_ms = kFedProposerTickMs;
-    return p;
-  }();
+  PaxosProgramOptions paxos;  // peers/my_index filled in per group
   // Chaos hook: rule names stripped from every replica's federation program (bug
   // variants, e.g. the split-rename commit that forgets to delete the source).
   std::vector<std::string> federation_strip_rules;

@@ -209,7 +209,11 @@ BuiltinRegistry BuiltinRegistry::Standard() {
   // --- math ---
   pure("abs", 1, [](const std::vector<Value>& a) -> Result<Value> {
     if (a[0].is_int()) {
-      return Value(std::abs(a[0].as_int()));
+      int64_t v = a[0].as_int();
+      if (v == std::numeric_limits<int64_t>::min()) {
+        return InvalidArgument("integer overflow in abs(" + std::to_string(v) + ")");
+      }
+      return Value(v < 0 ? -v : v);
     }
     if (a[0].is_double()) {
       return Value(std::fabs(a[0].as_double()));

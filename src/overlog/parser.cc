@@ -156,10 +156,7 @@ class Parser {
       }
       Advance();
       BOOM_RETURN_IF_ERROR(ExpectKind(TokenKind::kLParen));
-      if (Peek().kind != TokenKind::kInt && Peek().kind != TokenKind::kDouble) {
-        return Error("expected ttl duration (ms)");
-      }
-      def.ttl_ms = Advance().literal.ToDouble();
+      BOOM_RETURN_IF_ERROR(ParseMillis("ttl duration", &def.ttl_ms));
       if (def.ttl_ms <= 0) {
         return Error("ttl must be positive in table " + def.name);
       }
@@ -178,6 +175,25 @@ class Parser {
     return Status::Ok();
   }
 
+  // A duration in ms: a numeric literal, or a declared constant (module parameter) naming
+  // one.
+  Status ParseMillis(const std::string& what, double* out) {
+    if (Peek().kind == TokenKind::kInt || Peek().kind == TokenKind::kDouble) {
+      *out = Advance().literal.ToDouble();
+      return Status::Ok();
+    }
+    if (Peek().kind == TokenKind::kIdent && !IsVarName(Peek().text)) {
+      auto it = consts_.find(Peek().text);
+      if (it == consts_.end() || !it->second.is_numeric()) {
+        return Error("expected " + what + " (ms): literal or numeric constant");
+      }
+      Advance();
+      *out = it->second.ToDouble();
+      return Status::Ok();
+    }
+    return Error("expected " + what + " (ms)");
+  }
+
   Status ParseTimerDecl() {
     Advance();  // 'timer'
     if (Peek().kind != TokenKind::kIdent) {
@@ -186,19 +202,7 @@ class Parser {
     TimerDecl timer;
     timer.name = Advance().text;
     BOOM_RETURN_IF_ERROR(ExpectKind(TokenKind::kLParen));
-    if (Peek().kind == TokenKind::kInt || Peek().kind == TokenKind::kDouble) {
-      timer.period_ms = Advance().literal.ToDouble();
-    } else if (Peek().kind == TokenKind::kIdent && !IsVarName(Peek().text)) {
-      // A declared constant (module parameter) naming the period.
-      auto it = consts_.find(Peek().text);
-      if (it == consts_.end() || !it->second.is_numeric()) {
-        return Error("expected timer period (ms): literal or numeric constant");
-      }
-      Advance();
-      timer.period_ms = it->second.ToDouble();
-    } else {
-      return Error("expected timer period (ms)");
-    }
+    BOOM_RETURN_IF_ERROR(ParseMillis("timer period", &timer.period_ms));
     BOOM_RETURN_IF_ERROR(ExpectKind(TokenKind::kRParen));
     BOOM_RETURN_IF_ERROR(ExpectKind(TokenKind::kSemi));
     // A timer implicitly declares the event table <name>(Node).

@@ -119,13 +119,25 @@ r7 decided_cmd(C) :- decided(_, C);
 r6 pending_req(R, C)@next :- phase1_won(_), request_q(R, C), notin decided_cmd(C);
 
 /////////////////////////////////////////////////////////////////////////////
-// Slot assignment: the leader drains one queued command per paxos tick into
-// the next slot (declarative serialization of the log).
+// Slot assignment: on each px_drain the leader moves one queued command into
+// the next slot (declarative serialization of the log). px_drain is raised by
+// the data, not polled: a new command raises it for the timestep its
+// pending_req lands in (d1, q2's guard), a pick raises it again so a backlog
+// drains one slot per timestep at the same virtual instant (d2), and a won
+// ballot raises it for the commands r6 re-queues (d3). px_tick is only the
+// liveness backstop (d4), e.g. for a replica that regains leadership under a
+// ballot it already prepared.
 /////////////////////////////////////////////////////////////////////////////
+event px_drain(K);
 event best_req(K, R);
 event pick(ReqKey, Cmd, Slot, Bal);
 
-s1 best_req(1, min<R>) :- px_tick(_), leader(1, L), L == f_me(),
+d1 px_drain(1)@next :- px_request(@Me, C), R := hash(to_string(C)), notin request_q(R, _);
+d2 px_drain(1)@next :- pick(_, _, _, _);
+d3 px_drain(1)@next :- phase1_won(_);
+d4 px_drain(1) :- px_tick(_);
+
+s1 best_req(1, min<R>) :- px_drain(_), leader(1, L), L == f_me(),
                           my_ballot(1, B), phase1_done(1, B),
                           pending_req(R, _);
 s2 pick(R, C, S, B) :- best_req(1, R), pending_req(R, C), next_slot(1, S), my_ballot(1, B);
@@ -143,13 +155,20 @@ table accept_log(Slot, Bal, From) keys(0, 1, 2);
 table accept_cnt(Slot, Bal, N) keys(0, 1);
 event decide(Addr, Slot, Cmd);
 table decided(Slot, Cmd) keys(0);
+// Slots whose decision this leader already broadcast. Without it p2d fires again on every
+// later ack (accept_cnt 2 -> 3 re-satisfies N >= Q). Soft state: once the broadcast is a
+// lead timeout old no straggling ack is expected, and a missed decide is repaired by the
+// learner anti-entropy below. (notin decided(S, _) cannot guard p2d: decided depends on
+// decide through p2e, so that negation would be unstratifiable.)
+table decide_sent(Slot) keys(0) ttl(lead_timeout_ms);
 
 p2a accept_req(@P, Me, S, B, C) :- proposal(S, B, C), phase1_done(1, B),
                                    paxos_peer(P), Me := f_me();
 p2b accept_log(S, B, F) :- accept_ack(_, F, S, B);
 p2c accept_cnt(S, B, count<F>) :- accept_log(S, B, F);
 p2d decide(@P, S, C) :- accept_cnt(S, B, N), quorum(1, Q), N >= Q,
-                        proposal(S, B, C), paxos_peer(P);
+                        proposal(S, B, C), paxos_peer(P), notin decide_sent(S);
+p2f decide_sent(S)@next :- accept_cnt(S, B, N), quorum(1, Q), N >= Q, proposal(S, B, _);
 p2e decided(S, C) :- decide(_, S, C);
 
 /////////////////////////////////////////////////////////////////////////////
@@ -199,8 +218,10 @@ event px_sync_req(Addr, From, Upto);
 
 sy1 px_sync_req(@P, Me, S0) :- px_sync_t(_), applied_upto(1, S0), paxos_peer(P),
                                Me := f_me(), P != Me;
-sy2 decide(@F, S, C) :- px_sync_req(@Me, F, S0), Hi := S0 + 64, decided(S, C),
-                        S > S0, S <= Hi;
+// sy2 joins the local watermark first: a request from a peer that is not behind stops
+// there and never reaches the decided atom, which S only range-filters (a full scan).
+sy2 decide(@F, S, C) :- px_sync_req(@Me, F, S0), applied_upto(1, A), A > S0,
+                        Hi := S0 + 64, decided(S, C), S > S0, S <= Hi;
 )olg";
 
 }  // namespace

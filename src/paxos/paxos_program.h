@@ -7,8 +7,12 @@
 //     replica is leader (min<> aggregate over live peers).
 //   - Phase 1 runs once per (leader, ballot) across all log slots; promises stream back the
 //     acceptor's accepted entries so a new leader can re-propose unfinished commands.
-//   - Client commands queue in `request_q`; the leader drains one per paxos tick into the
-//     next log slot (this serializes slot assignment declaratively).
+//   - Client commands queue in `pending_req`; the leader moves one per timestep into the
+//     next log slot (this serializes slot assignment declaratively). Slot assignment is
+//     driven by the data: a command's arrival, the previous pick, and a won ballot each
+//     raise `px_drain` for the next timestep, so a command gets its slot at the virtual
+//     instant it arrives and a backlog drains back to back. The `px_tick` timer paces
+//     only phase-1 prepare retries and a liveness backstop for the drain.
 //   - Phase 2 per slot; a majority of accept acks decides the slot; `decide` is broadcast
 //     and each replica applies decided commands in strict slot order (`apply_cmd`).
 //
@@ -34,7 +38,7 @@ struct PaxosProgramOptions {
   int my_index = 0;                // this node's position in `peers`
   double ping_period_ms = 200;     // leader-election heartbeat
   double lead_timeout_ms = 1000;   // peer considered dead after this silence
-  double tick_period_ms = 10;      // proposer drain rate (one command per tick)
+  double tick_period_ms = 10;      // phase-1 prepare retry period; drain liveness backstop
   double sync_period_ms = 200;     // learner anti-entropy: applied-watermark advert period
 };
 

@@ -56,6 +56,8 @@ TEST_F(BuiltinsTest, ArithmeticErrors) {
   EXPECT_FALSE(CallErr("-", {Value(kMin), Value(1)}).ok());
   EXPECT_FALSE(CallErr("*", {Value(kMax), Value(2)}).ok());
   EXPECT_FALSE(CallErr("*", {Value(kMin), Value(-1)}).ok());
+  EXPECT_FALSE(CallErr("abs", {Value(kMin)}).ok());
+  EXPECT_EQ(Call("abs", {Value(kMin + 1)}), Value(kMax));
   EXPECT_EQ(Call("%", {Value(kMin), Value(-1)}), Value(int64_t{0}));
   EXPECT_EQ(Call("%", {Value(-1), Value(kMin)}), Value(kMax));
   EXPECT_EQ(Call("%", {Value(-7), Value(-3)}), Value(int64_t{2}));

@@ -318,6 +318,17 @@ TEST(ParserTest, TtlDeclaration) {
   EXPECT_DOUBLE_EQ(p.tables[1].ttl_ms, 0.0);
 }
 
+TEST(ParserTest, TtlNamesConstant) {
+  Program p = MustParse(R"(
+    program test;
+    const lease_ms = 750;
+    table lease(Node) keys(0) ttl(lease_ms);
+  )");
+  EXPECT_DOUBLE_EQ(p.tables[0].ttl_ms, 750.0);
+  EXPECT_FALSE(ParseProgram("program t; table x(A) ttl(undeclared_ms);").ok());
+  EXPECT_FALSE(ParseProgram("program t; const z = 0; table x(A) ttl(z);").ok());
+}
+
 TEST(ParserTest, NonPositiveTtlRejected) {
   EXPECT_FALSE(ParseProgram("program t; table x(A) ttl(0);").ok());
 }

@@ -11,14 +11,16 @@
 namespace boom {
 namespace {
 
-// Stands up N paxos replicas (paxos program only) named px0..pxN-1.
-std::vector<std::string> SetupPaxos(Cluster& cluster, int n) {
+// Stands up N paxos replicas (paxos program only) named px0..pxN-1; `base` supplies the
+// timer settings.
+std::vector<std::string> SetupPaxos(Cluster& cluster, int n,
+                                    const PaxosProgramOptions& base = {}) {
   std::vector<std::string> peers;
   for (int i = 0; i < n; ++i) {
     peers.push_back("px" + std::to_string(i));
   }
   for (int i = 0; i < n; ++i) {
-    PaxosProgramOptions opts;
+    PaxosProgramOptions opts = base;
     opts.peers = peers;
     opts.my_index = i;
     Program program = PaxosProgram(opts);
@@ -49,6 +51,14 @@ std::map<int64_t, Value> DecidedLog(Cluster& cluster, const std::string& node) {
 
 void SubmitCommand(Cluster& cluster, const std::string& to, const Value& cmd) {
   cluster.Send(to, to, "px_request", Tuple{Value(to), cmd});
+}
+
+// A proposer tick far longer than any test window: whatever gets decided inside one
+// window was driven by the commands themselves, not by px_tick.
+PaxosProgramOptions SlowTick() {
+  PaxosProgramOptions opts;
+  opts.tick_period_ms = 1000;
+  return opts;
 }
 
 TEST(PaxosTest, ElectsLowestLivePeer) {
@@ -93,6 +103,101 @@ TEST(PaxosTest, CommandsGetDistinctConsecutiveSlots) {
   for (const std::string& p : peers) {
     EXPECT_EQ(DecidedLog(cluster, p), log) << p;
   }
+}
+
+TEST(PaxosTest, CommandDecidedWithoutWaitingForTick) {
+  Cluster cluster(99);
+  std::vector<std::string> peers = SetupPaxos(cluster, 3, SlowTick());
+  cluster.RunUntil(2500);  // election + phase 1 on the t=1000 tick; next tick at 3000
+  SubmitCommand(cluster, "px0", Value("cmd-a"));
+  cluster.RunUntil(2503);
+  for (const std::string& p : peers) {
+    std::map<int64_t, Value> log = DecidedLog(cluster, p);
+    ASSERT_EQ(log.size(), 1u) << p;
+    EXPECT_EQ(log[0], Value("cmd-a")) << p;
+  }
+}
+
+TEST(PaxosTest, BurstDrainsIntoConsecutiveSlotsBetweenTicks) {
+  Cluster cluster(99);
+  std::vector<std::string> peers = SetupPaxos(cluster, 3, SlowTick());
+  std::vector<double> pick_times;
+  cluster.engine("px0")->AddWatch(
+      "pick", [&pick_times, &cluster](const std::string&, const Tuple&, bool inserted) {
+        if (inserted) {
+          pick_times.push_back(cluster.now());
+        }
+      });
+  cluster.RunUntil(2500);
+  for (int i = 0; i < 5; ++i) {
+    SubmitCommand(cluster, "px0", Value("burst-" + std::to_string(i)));
+  }
+  cluster.RunUntil(2510);
+  // One pick per timestep, every timestep at the instant the burst arrived.
+  EXPECT_EQ(pick_times, std::vector<double>(5, 2500.0));
+  std::map<int64_t, Value> log = DecidedLog(cluster, "px0");
+  ASSERT_EQ(log.size(), 5u);
+  std::set<Value> cmds;
+  for (int64_t s = 0; s < 5; ++s) {
+    ASSERT_TRUE(log.count(s)) << "gap at slot " << s;
+    cmds.insert(log[s]);
+  }
+  EXPECT_EQ(cmds.size(), 5u);
+  for (const std::string& p : peers) {
+    EXPECT_EQ(DecidedLog(cluster, p), log) << p;
+  }
+}
+
+TEST(PaxosTest, LeaderSendsOneDecidePerPeerPerSlot) {
+  Cluster cluster(99);
+  PaxosProgramOptions opts;
+  opts.sync_period_ms = 1e9;  // no anti-entropy: every decide comes from p2d
+  std::vector<std::string> peers = SetupPaxos(cluster, 3, opts);
+  std::map<std::pair<std::string, int64_t>, int> decides;  // (peer, slot) -> arrivals
+  for (const std::string& p : peers) {
+    cluster.engine(p)->AddWatch(
+        "decide", [&decides, p](const std::string&, const Tuple& t, bool inserted) {
+          if (inserted) {
+            ++decides[{p, t[1].as_int()}];
+          }
+        });
+  }
+  cluster.RunUntil(2000);
+  for (int i = 0; i < 20; ++i) {
+    SubmitCommand(cluster, "px0", Value("c" + std::to_string(i)));
+    cluster.RunUntil(cluster.now() + 5);
+  }
+  cluster.RunUntil(cluster.now() + 1000);
+  ASSERT_EQ(DecidedLog(cluster, "px0").size(), 20u);
+  EXPECT_EQ(decides.size(), 60u);  // every peer heard about every slot...
+  for (const auto& [peer_slot, n] : decides) {
+    EXPECT_EQ(n, 1) << peer_slot.first << " slot " << peer_slot.second;  // ...exactly once
+  }
+}
+
+TEST(PaxosTest, PartitionedReplicaCatchesUpThroughSync) {
+  Cluster cluster(99);
+  std::vector<std::string> peers = SetupPaxos(cluster, 3);
+  cluster.RunUntil(2000);
+  cluster.BlockLink("px2", "px0");
+  cluster.BlockLink("px2", "px1");
+  for (int i = 0; i < 10; ++i) {
+    SubmitCommand(cluster, "px0", Value("p" + std::to_string(i)));
+  }
+  cluster.RunUntil(3000);
+  std::map<int64_t, Value> log = DecidedLog(cluster, "px0");
+  ASSERT_EQ(log.size(), 10u);
+  EXPECT_TRUE(DecidedLog(cluster, "px2").empty());  // missed every decide broadcast
+
+  cluster.UnblockLink("px2", "px0");
+  cluster.UnblockLink("px2", "px1");
+  cluster.RunUntil(5000);  // several sync rounds
+  EXPECT_EQ(DecidedLog(cluster, "px1"), log);
+  EXPECT_EQ(DecidedLog(cluster, "px2"), log);
+  const Tuple* applied =
+      cluster.engine("px2")->catalog().Get("applied_upto").LookupByKey(Tuple{Value(1)});
+  ASSERT_NE(applied, nullptr);
+  EXPECT_EQ((*applied)[1], Value(9));
 }
 
 TEST(PaxosTest, RetriedCommandDeduplicated) {
