@@ -2,21 +2,19 @@
 // Paxos-replicated NameNode *groups* (src/boomfs/federation.h), plus a fault-isolation
 // run showing a leader kill degrades only the faulted group's tenants.
 //
-// Each replica is modeled as a busy server (fixed per-fed_request service time, measured
-// from the real Overlog engine). The SAME seeded open-loop trace (identical arrivals,
-// identical op sequence) is offered above aggregate capacity to 1, 2, and 4 groups:
-// hash-partitioning the namespace across groups divides the intake, so served throughput
-// should scale near-linearly with group count.
+// Each replica is modeled as a busy server with a fixed per-fed_request service time
+// (kServiceMs), so every printed number is a function of the seeds. The SAME seeded
+// open-loop trace (identical arrivals, identical op sequence) is offered above aggregate
+// capacity to 1, 2, and 4 groups: hash-partitioning the namespace across groups divides
+// the intake, so served throughput should scale near-linearly with group count.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/boomfs/federation.h"
-#include "src/boomfs/partition.h"
 #include "src/boomfs/protocol.h"
 #include "src/workload/fs_load.h"
 
@@ -26,23 +24,11 @@ namespace {
 constexpr int kPartitions = 8;
 constexpr int kTenants = 8;
 
-// Real cost of one namespace op on the Overlog engine (wall-clock pilot; reused as the
-// simulated service time so saturation is meaningful).
-double MeasureOpCostMs() {
-  Cluster cluster(1234);
-  PartitionedFsOptions opts;
-  opts.num_partitions = 1;
-  PartitionedFsHandles handles = SetupPartitionedFs(cluster, opts);
-  SyncFs fs(cluster, handles.clients[0]);
-  cluster.RunUntil(1200);
-  constexpr int kOps = 300;
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kOps; ++i) {
-    fs.CreateFile("/f" + std::to_string(i));
-  }
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - start).count() / kOps;
-}
+// Modeled per-fed_request service time of one replica. The scale-out claim is about
+// ratios, so the absolute value only sets the arrival rate: a smaller per-op cost means
+// proportionally higher arrival rates, whose multi-second overload backlog makes the
+// simulation itself quadratically slow.
+constexpr double kServiceMs = 4.0;
 
 std::vector<std::string> TenantDirs() {
   std::vector<std::string> dirs;
@@ -75,7 +61,7 @@ struct ScaleResult {
   double throughput_ops_per_s;
 };
 
-ScaleResult RunScale(int groups, double service_ms) {
+ScaleResult RunScale(int groups) {
   Cluster cluster(24680);
   FederatedFsOptions opts;
   opts.num_groups = groups;
@@ -90,8 +76,8 @@ ScaleResult RunScale(int groups, double service_ms) {
   opts.client_retries = 1;
   FederatedFsHandles handles = SetupFederatedFs(cluster, opts);
   for (const std::string& replica : handles.AllReplicas()) {
-    cluster.SetServiceTime(replica, [service_ms](const Message& m) {
-      return m.table == kFedRequest ? service_ms : 0.0;
+    cluster.SetServiceTime(replica, [](const Message& m) {
+      return m.table == kFedRequest ? kServiceMs : 0.0;
     });
   }
   cluster.RunUntil(1500);
@@ -100,7 +86,7 @@ ScaleResult RunScale(int groups, double service_ms) {
   // and served throughput measures server capacity, not the trace. A group's capacity is
   // the engine serving fed_requests: the Paxos proposer assigns a slot as each command
   // arrives, so consensus adds latency but no throughput ceiling of its own.
-  const double group_capacity = 1000.0 / service_ms;
+  const double group_capacity = 1000.0 / kServiceMs;
   const double horizon_ms = 10000;
   FsLoadOptions load = TraceOptions(horizon_ms, 1000.0 / (4.5 * group_capacity));
   load.op_timeout_ms = 600000;
@@ -125,8 +111,7 @@ struct IsolationRun {
   std::vector<int> tenant_group;
 };
 
-IsolationRun RunIsolationOnce(double service_ms, bool kill, double kill_at, double win0,
-                              double win1) {
+IsolationRun RunIsolationOnce(bool kill, double kill_at, double win0, double win1) {
   Cluster cluster(13579);
   FederatedFsOptions opts;
   opts.num_groups = 2;
@@ -136,15 +121,15 @@ IsolationRun RunIsolationOnce(double service_ms, bool kill, double kill_at, doub
   opts.num_clients = kTenants;
   FederatedFsHandles handles = SetupFederatedFs(cluster, opts);
   for (const std::string& replica : handles.AllReplicas()) {
-    cluster.SetServiceTime(replica, [service_ms](const Message& m) {
-      return m.table == kFedRequest ? service_ms : 0.0;
+    cluster.SetServiceTime(replica, [](const Message& m) {
+      return m.table == kFedRequest ? kServiceMs : 0.0;
     });
   }
   cluster.RunUntil(1500);
 
   // Moderate load (~40% of aggregate capacity): failures here come from the fault, not
   // from saturation.
-  const double aggregate_capacity = 2 * 1000.0 / service_ms;
+  const double aggregate_capacity = 2 * 1000.0 / kServiceMs;
   const double horizon_ms = 16000;
   FsLoadOptions load = TraceOptions(horizon_ms, 1000.0 / (0.4 * aggregate_capacity));
   FsLoadWorkload workload(cluster, load,
@@ -168,7 +153,7 @@ IsolationRun RunIsolationOnce(double service_ms, bool kill, double kill_at, doub
   return run;
 }
 
-void RunIsolation(double service_ms) {
+void RunIsolation() {
   // The fault's effect is isolated by a paired experiment: the same seeded trace on two
   // identical deployments, one with the kill and one without, compared over the same
   // fault window. (Comparing pre- vs post-fault windows within one run would confound
@@ -179,8 +164,8 @@ void RunIsolation(double service_ms) {
   const double t0 = 1500;
   const double kill_at = t0 + 8000;
   const double win0 = kill_at, win1 = kill_at + 1500;
-  IsolationRun base = RunIsolationOnce(service_ms, false, kill_at, win0, win1);
-  IsolationRun faulted = RunIsolationOnce(service_ms, true, kill_at, win0, win1);
+  IsolationRun base = RunIsolationOnce(false, kill_at, win0, win1);
+  IsolationRun faulted = RunIsolationOnce(true, kill_at, win0, win1);
 
   std::printf("  per-tenant goodput over the 1.5s after the kill, vs the identical "
               "no-fault run:\n");
@@ -214,19 +199,14 @@ int main() {
   using namespace boom;
   PrintHeader("F8", "federated metadata plane: throughput vs NameNode groups");
 
-  // Floor the modeled service time at 4ms: the scale-out claim is about ratios, and
-  // smaller per-op costs mean proportionally higher arrival rates, whose multi-second
-  // overload backlog makes the simulation itself quadratically slow.
-  double service_ms = std::max(4.0, MeasureOpCostMs());
-  std::printf("per-op service time (measured from the real engine): %.2f ms\n\n",
-              service_ms);
+  std::printf("per-op service time (modeled): %.2f ms\n\n", kServiceMs);
 
   std::printf("scale-out (identical seeded open-loop trace, offered 4.5x one group's "
               "capacity):\n");
   std::printf("  %-8s %16s %10s\n", "groups", "throughput(op/s)", "speedup");
   double base = 0;
   for (int groups : {1, 2, 4}) {
-    ScaleResult r = RunScale(groups, service_ms);
+    ScaleResult r = RunScale(groups);
     if (groups == 1) {
       base = r.throughput_ops_per_s;
     }
@@ -236,7 +216,7 @@ int main() {
 
   std::printf("\nfault isolation (2 groups x 3 replicas, group-0 leader killed "
               "mid-run):\n");
-  RunIsolation(service_ms);
+  RunIsolation();
 
   std::printf(
       "\nShape check vs paper: partitioning the namespace across Paxos-replicated\n"

@@ -17,6 +17,7 @@
 
 #include "bench/bench_util.h"
 #include "src/base/strings.h"
+#include "src/boomfs/federation.h"
 #include "src/boomfs/ha.h"
 #include "src/boomfs/nn_program.h"
 #include "src/boommr/jt_program.h"
@@ -125,9 +126,16 @@ int main() {
   OlgStats bridge = AnalyzeOlg(HaBridgeProgram());
   Row("HA bridge (F2 glue)", bridge, 0, "-");
 
-  std::printf("  %-34s %6s %8s %8s   %8zu  (client routing fn)\n",
-              "Partitioning (F3)", "0", "0", "0",
-              CountCppLines({"src/boomfs/partition.cc"}));
+  // Federation: the per-group ownership/rename/migration rules plus the partition-map
+  // service, installed next to an unmodified NameNode program.
+  OlgStats fed = AnalyzeOlg(NnFederationProgram());
+  OlgStats pmap = AnalyzeOlg(PartitionMapProgram());
+  OlgStats partitioning;
+  partitioning.rules = fed.rules + pmap.rules;
+  partitioning.tables = fed.tables + pmap.tables;
+  partitioning.lines = fed.lines + pmap.lines;
+  Row("Partitioning (F3 federation)", partitioning, 0,
+      "federation + partition-map programs");
 
   // --- BOOM-MR policies ---
   JtProgramOptions fifo;

@@ -29,8 +29,10 @@
 # caches are what this leg races (InternerTest.ConcurrentInternIsCanonical and
 # InternerTest.ChurnRevivesEntriesSafely intern from plain std::threads).
 # Bench smoke: Release build of micro_engine, gated against the committed BENCH_engine.json
-# (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py), then the
-# system benchmark's smoke run (bench/system: oracle or determinism-guard failures fail).
+# (missing workload keys or a >25% ns/op regression fail; scripts/check_bench.py), then F8
+# (bench/fig_scaleout, a pure function of its seeds) diffed against its pinned stdout,
+# then the system benchmark's smoke run (bench/system: oracle or determinism-guard
+# failures fail).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,6 +130,12 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     python3 scripts/check_bench.py --committed BENCH_engine.json --fresh "$fresh"
   fi
   rm -f "$fresh"
+
+  # F8 models its service time as a constant and replays seeded traces, so every line it
+  # prints is pinned; an intended change re-pins tests/golden/fig_scaleout.txt.
+  echo "==> Release F8 golden (bench/fig_scaleout vs tests/golden/fig_scaleout.txt)"
+  cmake --build build-release -j "$JOBS" --target fig_scaleout >/dev/null
+  ./build-release/bench/fig_scaleout | diff -u tests/golden/fig_scaleout.txt -
 
   # System benchmark smoke: all four end-to-end workloads at 2% size, Release build. A
   # correctness-oracle failure, a failed op, or a determinism-guard mismatch (counters or

@@ -90,7 +90,7 @@ void AddNameNode(Cluster& cluster, FsKind kind, const std::string& address,
             .counter(inserted ? "fs.nn.safemode_enter" : "fs.nn.safemode_exit")
             .Add();
       });
-    }, options.id_salt);
+    });
     return;
   }
   HdfsNameNodeOptions nn_opts;
@@ -106,7 +106,6 @@ void AddNameNode(Cluster& cluster, FsKind kind, const std::string& address,
   nn_opts.with_tombstone_gc = options.with_gc;
   nn_opts.gc_check_period_ms = options.gc_check_period_ms;
   nn_opts.gc_tombstone_ms = options.gc_tombstone_ms;
-  nn_opts.id_salt = options.id_salt;
   cluster.AddActor(std::make_unique<HdfsNameNode>(address, nn_opts));
 }
 

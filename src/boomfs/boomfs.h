@@ -52,11 +52,6 @@ struct FsSetupOptions {
   // Test hook: install this NameNode program instead of the generated one (used by the
   // refactor-equivalence tests to pin a frozen pre-refactor program text).
   std::optional<Program> nn_program_override;
-  // Unique-id salt for the minted file/chunk ids (Overlog f_unique_id salt; the HDFS
-  // baseline mints ids in the same salted format). Deployments running several NameNodes
-  // over one shared DataNode pool (partitioned/federated) MUST give each a distinct salt,
-  // or two NameNodes can mint the same chunk id and cross-wire chunk reports.
-  std::optional<uint64_t> id_salt;
 };
 
 struct FsHandles {

@@ -140,10 +140,6 @@ void FsClient::Dispatch(Cluster& cluster, int64_t req) {
   std::string nn;
   if (!pending.forced_target.empty()) {
     nn = pending.forced_target;
-  } else if (router_) {
-    // A route_key override routes like "ls <key>" (by the key itself, not its parent).
-    nn = pending.route_key.empty() ? router_(pending.cmd, pending.path)
-                                   : router_(kCmdLs, pending.route_key);
   } else if (fed_cache_ && fed_num_partitions_ > 0) {
     const std::string key = pending.route_key.empty()
                                 ? NsRoutingKey(pending.cmd, pending.path)
@@ -245,13 +241,9 @@ void FsClient::CreditSuccess() {
 
 void FsClient::Mkdir(Cluster& c, const std::string& path, ResponseCb cb) {
   bool dual = false;
-  if (!path.empty() && path != "/") {
-    if (fed_cache_ && fed_num_partitions_ > 1) {
-      dual = RoutingPid(NsRoutingKey(kCmdMkdir, path), fed_num_partitions_) !=
-             RoutingPid(path, fed_num_partitions_);
-    } else if (router_) {
-      dual = router_(kCmdMkdir, path) != router_(kCmdLs, path);
-    }
+  if (!path.empty() && path != "/" && fed_cache_ && fed_num_partitions_ > 1) {
+    dual = RoutingPid(NsRoutingKey(kCmdMkdir, path), fed_num_partitions_) !=
+           RoutingPid(path, fed_num_partitions_);
   }
   if (!dual) {
     Request(c, kCmdMkdir, path, Value(), std::move(cb));

@@ -102,10 +102,6 @@ class FsClient : public Actor {
 
   void OnMessage(const Message& msg, Cluster& cluster) override;
 
-  // Routes requests per (command, path) — used by the partitioned NameNode; overrides
-  // options_.namenode.
-  using RouterFn = std::function<std::string(const std::string& cmd, const std::string& path)>;
-  void SetRouter(RouterFn router) { router_ = std::move(router); }
   void set_namenode(const std::string& nn) { options_.namenode = nn; }
   const std::string& namenode() const { return options_.namenode; }
 
@@ -115,7 +111,7 @@ class FsClient : public Actor {
   // Requests carry (Pid, CachedEpoch) as two extra columns (the fed_request shape); a
   // stale-epoch bounce applies the carried map and re-dispatches, and an
   // ["overloaded", RetryAfterMs] answer (a partition frozen mid-migration) retries after
-  // the hint. Mutually exclusive with SetRouter.
+  // the hint.
   void SetFedRouting(std::shared_ptr<FedMapCache> cache, int num_partitions) {
     fed_cache_ = std::move(cache);
     fed_num_partitions_ = num_partitions;
@@ -123,8 +119,8 @@ class FsClient : public Actor {
   const std::shared_ptr<FedMapCache>& fed_cache() const { return fed_cache_; }
 
   // --- primitive namespace operations ---
-  // Mkdir under partitioned/federated routing is dual-homed: the canonical entry is made
-  // at the partition of the directory's parent (where the directory is listed), and a
+  // Mkdir under federated routing is dual-homed: the canonical entry is made at the
+  // partition of the directory's parent (where the directory is listed), and a
   // child-serving copy — plus any missing ancestor scaffolding — at the partition of the
   // directory's own path (where its entries live). Parent-directory existence is thereby
   // partition-local: no every-partition fan-out. Both legs tolerate already-exists races.
@@ -224,7 +220,6 @@ class FsClient : public Actor {
   void ArmTimeout(Cluster& cluster, int64_t req, int attempt);
 
   FsClientOptions options_;
-  RouterFn router_;
   std::shared_ptr<FedMapCache> fed_cache_;  // nonnull = federated routing active
   int fed_num_partitions_ = 0;
   // Sticky failover: index into {namenode} U fallbacks that last answered; new requests

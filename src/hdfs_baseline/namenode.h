@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,10 +37,6 @@ struct HdfsNameNodeOptions {
   bool with_tombstone_gc = false;
   double gc_check_period_ms = 1000;
   double gc_tombstone_ms = 10000;
-  // When set, minted file/chunk ids carry the salt in the low 20 bits (the Overlog
-  // f_unique_id format), so multiple NameNodes over one shared DataNode pool mint from
-  // disjoint id spaces. Unset keeps the legacy sequential ids of a solo deployment.
-  std::optional<uint64_t> id_salt;
 };
 
 class HdfsNameNode : public Actor {
@@ -81,13 +76,7 @@ class HdfsNameNode : public Actor {
   void HandleRequest(const Message& msg, Cluster& cluster);
   void CheckFailures(Cluster& cluster);
   std::vector<std::string> PickDataNodes(int n) const;
-  int64_t MintId() {
-    int64_t seq = next_id_++;
-    if (!options_.id_salt.has_value()) {
-      return seq;
-    }
-    return (seq << 20) | static_cast<int64_t>(*options_.id_salt & 0xFFFFF);
-  }
+  int64_t MintId() { return next_id_++; }
 
   HdfsNameNodeOptions options_;
   std::map<int64_t, Inode> inodes_;

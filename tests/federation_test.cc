@@ -1,11 +1,13 @@
 // Tests for the federated metadata plane (src/boomfs/federation.h): partition-map
-// routing with stale-epoch recovery, per-group chunk-id disjointness, the cross-partition
-// rename protocol, online partition rebalance, group-failover isolation, the federation
-// chaos sweep, and the pinned program-text goldens.
+// routing with stale-epoch recovery, namespace ops at 1, 2 and 4 groups, the routing key,
+// per-group chunk-id disjointness, the cross-partition rename protocol, online partition
+// rebalance, group-failover isolation, the federation chaos sweep, and the pinned
+// program-text goldens.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,7 +16,6 @@
 #include "src/base/logging.h"
 #include "src/boomfs/boomfs.h"
 #include "src/boomfs/federation.h"
-#include "src/boomfs/partition.h"
 #include "src/boomfs/protocol.h"
 #include "src/chaos/explorer.h"
 #include "src/workload/fs_load.h"
@@ -85,15 +86,11 @@ std::pair<std::string, std::string> CrossGroupDirs(const FederatedFsHandles& han
   return {"/d0", "/d1"};
 }
 
-TEST(FederatedFsTest, BasicOpsRouteAcrossGroups) {
-  Cluster cluster(4242);
-  FederatedFsOptions opts;
-  opts.chunk_size = 32;
-  FederatedFsHandles handles = SetupFederatedFs(cluster, opts);
-  cluster.RunUntil(1500);
+// Mkdir (dual-homed whenever a directory and its parent hash to different partitions),
+// write, read back, ls and rm over six dirs, which must land on partitions owned by every
+// group.
+void ExpectOpsRouteAcrossGroups(Cluster& cluster, const FederatedFsHandles& handles) {
   SyncFs fs(cluster, handles.clients[0]);
-
-  // Spread namespace work over enough dirs to hit partitions owned by both groups.
   std::set<int> groups_hit;
   for (int d = 0; d < 6; ++d) {
     std::string dir = "/d" + std::to_string(d);
@@ -103,7 +100,8 @@ TEST(FederatedFsTest, BasicOpsRouteAcrossGroups) {
     std::string path = dir + "/f";
     ASSERT_TRUE(fs.WriteFile(path, "payload-" + dir));
   }
-  EXPECT_EQ(groups_hit.size(), 2u) << "namespace did not span both groups";
+  EXPECT_EQ(groups_hit.size(), handles.groups.size())
+      << "namespace did not span every group";
   for (int d = 0; d < 6; ++d) {
     std::string dir = "/d" + std::to_string(d);
     std::string data;
@@ -115,6 +113,73 @@ TEST(FederatedFsTest, BasicOpsRouteAcrossGroups) {
   }
   ASSERT_TRUE(fs.Rm("/d0/f"));
   EXPECT_FALSE(fs.Exists("/d0/f"));
+}
+
+TEST(FederatedFsTest, BasicOpsRouteAcrossGroups) {
+  Cluster cluster(4242);
+  FederatedFsOptions opts;
+  opts.chunk_size = 32;
+  FederatedFsHandles handles = SetupFederatedFs(cluster, opts);
+  cluster.RunUntil(1500);
+  ExpectOpsRouteAcrossGroups(cluster, handles);
+}
+
+// The namespace ops at 1, 2 and 4 single-replica groups. Every group count keeps the
+// default 8 partitions, so the dual-homed Mkdir runs even when one group owns them all.
+class PartitionTest : public ::testing::TestWithParam<int> {
+ protected:
+  PartitionTest() : cluster_(31337) {
+    FederatedFsOptions opts;
+    opts.num_groups = GetParam();
+    opts.replicas_per_group = 1;
+    opts.chunk_size = 32;
+    handles_ = SetupFederatedFs(cluster_, opts);
+    fs_ = std::make_unique<SyncFs>(cluster_, handles_.clients[0]);
+    cluster_.RunUntil(1500);
+  }
+
+  Cluster cluster_;
+  FederatedFsHandles handles_;
+  std::unique_ptr<SyncFs> fs_;
+};
+
+TEST_P(PartitionTest, FilesSpreadAcrossPartitionsAndRoundTrip) {
+  ExpectOpsRouteAcrossGroups(cluster_, handles_);
+}
+
+TEST_P(PartitionTest, LsSeesAllChildrenOfADirectory) {
+  ASSERT_TRUE(fs_->Mkdir("/d"));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(fs_->CreateFile("/d/f" + std::to_string(i)));
+  }
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs_->Ls("/d", &names));
+  EXPECT_EQ(names.size(), 8u);
+}
+
+TEST_P(PartitionTest, ExistsAndRmRouteCorrectly) {
+  ASSERT_TRUE(fs_->Mkdir("/x"));
+  ASSERT_TRUE(fs_->CreateFile("/x/f"));
+  EXPECT_TRUE(fs_->Exists("/x/f"));
+  EXPECT_TRUE(fs_->Rm("/x/f"));
+  EXPECT_FALSE(fs_->Exists("/x/f"));
+}
+
+INSTANTIATE_TEST_SUITE_P(PartitionCounts, PartitionTest, ::testing::Values(1, 2, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "P" + std::to_string(info.param);
+                         });
+
+// Clients route by RoutingPid(NsRoutingKey(cmd, path), N): a file routes by its parent
+// directory, so `ls` of a directory lands where its children live.
+TEST(PartitionRoutingTest, DeterministicAndDirnameBased) {
+  auto pid = [](const std::string& cmd, const std::string& path, int n) {
+    return RoutingPid(NsRoutingKey(cmd, path), n);
+  };
+  EXPECT_EQ(pid(kCmdCreate, "/d/f1", 3), pid(kCmdExists, "/d/f2", 3));
+  EXPECT_EQ(pid(kCmdLs, "/d", 3), pid(kCmdCreate, "/d/f1", 3));
+  EXPECT_EQ(pid(kCmdCreate, "/any", 1), 0);
+  EXPECT_EQ(pid(kCmdLs, "/d", 1), 0);
 }
 
 // Satellite regression: every group mints chunk ids in its own salted space, so a shared
@@ -140,53 +205,6 @@ TEST(FederatedFsTest, ChunkIdsDisjointAcrossGroups) {
   }
   for (int64_t chunk : per_group[0]) {
     EXPECT_FALSE(per_group[1].count(chunk)) << "chunk id " << chunk << " in both groups";
-  }
-}
-
-// Satellite regression for the pre-federation deployment: SetupPartitionedFs runs N
-// NameNodes over ONE shared DataNode pool, so colliding chunk ids would silently
-// cross-wire file contents. Per-partition id salts keep the spaces disjoint — the
-// round-trip catches a collision for both NameNode kinds (a collision overwrites the
-// earlier chunk's bytes on the shared DataNodes).
-TEST(PartitionChunkIdTest, ChunkIdsDisjointAcrossPartitions) {
-  for (FsKind kind : {FsKind::kBoomFs, FsKind::kHdfsBaseline}) {
-    Cluster cluster(616);
-    PartitionedFsOptions opts;
-    opts.kind = kind;
-    opts.num_partitions = 4;
-    opts.chunk_size = 16;
-    PartitionedFsHandles handles = SetupPartitionedFs(cluster, opts);
-    cluster.RunUntil(1500);
-    SyncFs fs(cluster, handles.clients[0]);
-    std::vector<std::pair<std::string, std::string>> written;
-    for (int d = 0; d < 8; ++d) {
-      std::string dir = "/d" + std::to_string(d);
-      ASSERT_TRUE(fs.Mkdir(dir)) << FsKindName(kind) << " " << dir;
-      std::string data(40 + d, 'a' + static_cast<char>(d));
-      ASSERT_TRUE(fs.WriteFile(dir + "/f", data)) << FsKindName(kind) << " " << dir;
-      written.emplace_back(dir + "/f", data);
-    }
-    for (const auto& [path, expect] : written) {
-      std::string data;
-      ASSERT_TRUE(fs.ReadFile(path, &data)) << FsKindName(kind) << " " << path;
-      EXPECT_EQ(data, expect) << FsKindName(kind) << " " << path
-                              << " (chunk-id collision cross-wired contents?)";
-    }
-    if (kind == FsKind::kBoomFs) {
-      // Direct check on the Overlog engines: partition id spaces never intersect.
-      std::vector<std::set<int64_t>> per_part;
-      for (const std::string& nn : handles.partitions) {
-        per_part.push_back(ReadIntColumn(cluster, nn, "fchunk", 0));
-      }
-      for (size_t a = 0; a < per_part.size(); ++a) {
-        for (size_t b = a + 1; b < per_part.size(); ++b) {
-          for (int64_t chunk : per_part[a]) {
-            EXPECT_FALSE(per_part[b].count(chunk))
-                << "chunk " << chunk << " minted by partitions " << a << " and " << b;
-          }
-        }
-      }
-    }
   }
 }
 

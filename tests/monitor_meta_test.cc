@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/boomfs/nn_program.h"
 #include "src/monitor/meta.h"
 #include "src/overlog/engine.h"
 #include "src/overlog/module.h"
@@ -223,6 +225,121 @@ TEST(PublishProfile, PerfTablePublishesTableStats) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   EXPECT_EQ(registry.gauge("engine.table.big.rows").value(), 10.0);
   EXPECT_GE(registry.gauge("engine.table.small.probes").value(), 1.0);
+}
+
+TEST(MonitorTest, TracingProgramRecordsInsertions) {
+  EngineOptions eopts;
+  eopts.address = "n";
+  Engine engine(eopts);
+  ASSERT_TRUE(engine.InstallSource(R"(
+    program app;
+    event req(X);
+    table kv(K, V) keys(0);
+    kv(K, V) :- req(K), V := K * 10;
+  )").ok());
+
+  Result<Program> parsed = ParseProgram(R"(
+    program app;
+    event req(X);
+    table kv(K, V) keys(0);
+  )");
+  ASSERT_TRUE(parsed.ok());
+  Program tracing = MakeTracingProgram(*parsed);
+  ASSERT_TRUE(engine.Install(tracing).ok()) << "tracing program install failed";
+
+  engine.Tick(0);
+  ASSERT_TRUE(engine.Enqueue("req", Tuple{Value(1)}).ok());
+  engine.Tick(5);
+  ASSERT_TRUE(engine.Enqueue("req", Tuple{Value(2)}).ok());
+  engine.Tick(9);
+
+  const Table& trace_kv = engine.catalog().Get("trace_kv");
+  EXPECT_EQ(trace_kv.size(), 2u);
+  const Table& trace_req = engine.catalog().Get("trace_req");
+  EXPECT_EQ(trace_req.size(), 2u);
+  // Count rollup.
+  const Tuple* cnt = engine.catalog().Get("trace_cnt_kv").LookupByKey(Tuple{Value(1)});
+  ASSERT_NE(cnt, nullptr);
+  EXPECT_EQ((*cnt)[1], Value(2));
+}
+
+TEST(MonitorTest, TracingSelectsRequestedTablesOnly) {
+  Result<Program> parsed = ParseProgram(R"(
+    program app;
+    table a(X);
+    table b(X);
+  )");
+  ASSERT_TRUE(parsed.ok());
+  TracingOptions opts;
+  opts.tables = {"b"};
+  Program tracing = MakeTracingProgram(*parsed, opts);
+  std::set<std::string> names;
+  for (const TableDef& def : tracing.tables) {
+    names.insert(def.name);
+  }
+  EXPECT_TRUE(names.count("trace_b"));
+  EXPECT_FALSE(names.count("trace_a"));
+}
+
+TEST(MonitorTest, InvariantViolationDetected) {
+  EngineOptions eopts;
+  eopts.address = "n";
+  Engine engine(eopts);
+  // A tiny program with a planted bug: inserting an orphan inode.
+  ASSERT_TRUE(engine.InstallSource(R"(
+    program fsmini;
+    table file(FileId, ParentId, FName, IsDir) keys(0);
+    table fqpath(Path, FileId);
+    table fchunk(ChunkId, FileId) keys(0);
+    table hb_chunk(Dn, ChunkId);
+    file(0, -1, "", true);
+  )").ok());
+  std::vector<std::string> violations;
+  ASSERT_TRUE(InstallInvariants(engine, BoomFsInvariantProgram(3), &violations).ok());
+  engine.Tick(0);
+  EXPECT_TRUE(violations.empty());
+  // Orphan: parent 999 does not exist.
+  ASSERT_TRUE(engine.Enqueue("file", Tuple{Value(7), Value(999), Value("x"), Value(false)})
+                  .ok());
+  engine.Tick(1);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations[0].find("orphan_inode"), std::string::npos);
+}
+
+TEST(MonitorTest, CleanBoomFsRaisesNoViolations) {
+  EngineOptions eopts;
+  eopts.address = "nn";
+  Engine engine(eopts);
+  ASSERT_TRUE(engine.Install(BoomFsNnProgram()).ok());
+  std::vector<std::string> violations;
+  ASSERT_TRUE(InstallInvariants(engine, BoomFsInvariantProgram(3), &violations).ok());
+  engine.Tick(0);
+  // Drive a few namespace ops directly.
+  auto request = [&engine](int64_t id, const std::string& cmd, const std::string& path) {
+    ASSERT_TRUE(engine
+                    .Enqueue("ns_request",
+                             Tuple{Value("nn"), Value(id), Value("cl"), Value(cmd),
+                                   Value(path), Value()})
+                    .ok());
+  };
+  request(1, "mkdir", "/a");
+  engine.Tick(1);
+  engine.Tick(1);
+  request(2, "mkdir", "/a/b");
+  engine.Tick(2);
+  engine.Tick(2);
+  request(3, "create", "/a/b/f");
+  engine.Tick(3);
+  engine.Tick(3);
+  EXPECT_TRUE(violations.empty()) << violations[0];
+  // Sanity: metadata actually exists.
+  bool found = false;
+  engine.catalog().Get("fqpath").ForEach([&found](const Tuple& row) {
+    if (row[0] == Value("/a/b/f")) {
+      found = true;
+    }
+  });
+  EXPECT_TRUE(found);
 }
 
 }  // namespace
