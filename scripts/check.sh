@@ -16,10 +16,12 @@
 # ASan smoke: rebuild with -DBOOM_SANITIZE=address, run the planner + telemetry + workload
 # + policy + overload tests under ASan (the tracer/registry hot paths are lock-free atomics
 # worth sanitizing; the generator, scheduler, and admission-gateway paths churn tuples hard),
-# then the data-plane tests (the interner's string_view keys and revive path, chunk payloads
-# shared by every replica, copy-on-corrupt), then the Paxos tests (the event-driven proposer
-# drain, the once-per-slot decide broadcast, learner catch-up, HA BOOM-FS and the Paxos
-# golden equivalence), then 3-seed paxos and boomfs chaos sweeps (corruption + slow-disk
+# then the engine, evaluator and table tests (a fixpoint round reads driver rows by range out
+# of per-table delta buffers that grow between rule evaluations; TTL expiry walks a stamp
+# queue), then the data-plane tests (the interner's string_view keys and revive path, chunk
+# payloads shared by every replica, copy-on-corrupt), then the Paxos tests (the event-driven
+# proposer drain, the once-per-slot decide broadcast, learner catch-up, HA BOOM-FS and the
+# Paxos golden equivalence), then 3-seed paxos and boomfs chaos sweeps (corruption + slow-disk
 # faults included via the boomfs scenario's fault profile), so memory errors on the
 # retry/quarantine/re-replication paths surface even though the full chaos tier is too slow
 # for every push.
@@ -69,7 +71,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j "$JOBS" --target chaos_explorer telemetry_test \
     trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
     federation_test planner_test join_order_test olglint olgrun value_test boomfs_test \
-    integrity_test paxos_test program_equivalence_test
+    integrity_test paxos_test program_equivalence_test engine_test eval_test table_test
 
   echo "==> ASan planner smoke (ctest -L planner)"
   (cd build-asan && ctest -L planner --output-on-failure -j "$JOBS")
@@ -88,6 +90,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 
   echo "==> ASan lint smoke (ctest -L lint)"
   (cd build-asan && ctest -L lint --output-on-failure -j "$JOBS")
+
+  echo "==> ASan engine smoke (range deltas over growing buffers, TTL expiry queue)"
+  (cd build-asan && ctest -R 'EngineTest|EvalTest|TableTest' --output-on-failure -j "$JOBS")
 
   echo "==> ASan data-plane smoke (interner, shared chunk payloads, copy-on-corrupt)"
   (cd build-asan && ctest -R 'ValueTest|InternerTest|FsTest|Integrity' \

@@ -404,14 +404,9 @@ FederatedFsHandles SetupFederatedFs(Cluster& cluster, const FederatedFsOptions& 
       paxos.my_index = i;
       Program paxos_program = PaxosProgram(paxos);
       auto init = [paxos_program, fs_program, bridge_program, fed_program](Engine& engine) {
-        Status s = engine.Install(paxos_program);
-        BOOM_CHECK(s.ok()) << "paxos install: " << s.ToString();
-        s = engine.Install(fs_program);
-        BOOM_CHECK(s.ok()) << "boomfs install: " << s.ToString();
-        s = engine.Install(bridge_program);
-        BOOM_CHECK(s.ok()) << "ha bridge install: " << s.ToString();
-        s = engine.Install(fed_program);
-        BOOM_CHECK(s.ok()) << "federation install: " << s.ToString();
+        Status s = engine.Install({paxos_program, fs_program, bridge_program, fed_program});
+        BOOM_CHECK(s.ok()) << "paxos + boomfs + ha bridge + federation install: "
+                           << s.ToString();
       };
       // Group-salted ids: shared within a group (replicas replaying the same log mint
       // identical file/chunk ids), distinct across groups (no cross-partition chunk-id

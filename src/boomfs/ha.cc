@@ -151,12 +151,8 @@ HaFsHandles SetupHaFs(Cluster& cluster, const HaFsOptions& options) {
     paxos.my_index = i;
     Program paxos_program = PaxosProgram(paxos);
     auto init = [paxos_program, fs_program, bridge_program](Engine& engine) {
-      Status s = engine.Install(paxos_program);
-      BOOM_CHECK(s.ok()) << "paxos install: " << s.ToString();
-      s = engine.Install(fs_program);
-      BOOM_CHECK(s.ok()) << "boomfs install: " << s.ToString();
-      s = engine.Install(bridge_program);
-      BOOM_CHECK(s.ok()) << "ha bridge install: " << s.ToString();
+      Status s = engine.Install({paxos_program, fs_program, bridge_program});
+      BOOM_CHECK(s.ok()) << "paxos + boomfs + ha bridge install: " << s.ToString();
       // Consensus metrics from table activity: proposals, decisions, ballot churn, and
       // propose->decide quorum latency (virtual ms, matched per slot on this replica).
       Engine* e = &engine;

@@ -16,8 +16,10 @@ Status Catalog::Declare(const TableDef& def) {
     }
     return Status::Ok();
   }
-  auto inserted = tables_.emplace(def.name, std::make_unique<Table>(def));
+  auto inserted = tables_.emplace(
+      def.name, std::make_unique<Table>(def, static_cast<uint32_t>(by_id_.size())));
   Table* table = inserted.first->second.get();
+  by_id_.push_back(table);
   auto by_name = [](const Table* a, const Table* b) { return a->name() < b->name(); };
   if (def.ttl_ms > 0) {
     ttl_tables_.insert(

@@ -33,6 +33,11 @@ class Catalog {
   Table& Get(const std::string& name);
   const Table& Get(const std::string& name) const;
 
+  // Dense ids: tables are numbered 0..size()-1 in declaration order and never dropped, so an
+  // id (Table::id()) resolved at compile time stays valid.
+  size_t size() const { return by_id_.size(); }
+  Table& ById(uint32_t id) { return *by_id_[id]; }
+
   std::vector<std::string> TableNames() const;
 
   // Tables with a TTL, sorted by name (the order TableNames-based iteration used). Cached at
@@ -45,6 +50,7 @@ class Catalog {
 
  private:
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  std::vector<Table*> by_id_;
   std::vector<Table*> ttl_tables_;    // sorted by name
   std::vector<Table*> event_tables_;  // sorted by name
 };

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <tuple>
+#include <unordered_set>
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
@@ -87,12 +89,49 @@ Status Engine::InstallSource(std::string_view source, std::map<std::string, Valu
 }
 
 Status Engine::Install(Program program) {
+  std::vector<Program> programs;
+  programs.push_back(std::move(program));
+  return Install(std::move(programs));
+}
+
+Status Engine::Install(std::vector<Program> programs) {
   // Checked before any state changes: a timer that cannot advance would spin Tick forever.
-  for (const TimerDecl& timer : program.timers) {
-    if (!timer.valid_period()) {
-      return InvalidArgument("bad-timer-period: " + BadTimerPeriodMessage(timer));
+  for (const Program& program : programs) {
+    for (const TimerDecl& timer : program.timers) {
+      if (!timer.valid_period()) {
+        return InvalidArgument("bad-timer-period: " + BadTimerPeriodMessage(timer));
+      }
     }
   }
+  const size_t installed = programs_.size();
+  Status status = Status::Ok();
+  for (Program& program : programs) {
+    status = Stage(program);
+    if (!status.ok()) {
+      break;
+    }
+    programs_.push_back(std::move(program));
+  }
+  if (status.ok()) {
+    status = Recompile();
+  }
+  if (!status.ok()) {
+    // compiled_ only changes on success, so dropping this call's programs is the rollback.
+    programs_.resize(installed);
+    analyzer_reports_.resize(installed);
+    return status;
+  }
+  needs_seed_ = true;
+  // The seed tick replays every stored row as a delta; reset incremental accumulators so
+  // they are rebuilt once rather than double-counted.
+  for (AggState& state : agg_state_) {
+    state.accum.clear();
+    state.has_input_version = false;
+  }
+  return Status::Ok();
+}
+
+Status Engine::Stage(const Program& program) {
   // Externs are declare-or-verify: Catalog::Declare is a no-op for an identical existing
   // declaration and an error for a conflicting one, which is exactly the contract an
   // `extern` schema expectation wants. When the owner is not installed yet, this creates
@@ -114,7 +153,12 @@ Status Engine::Install(Program program) {
     table->Insert(fact.tuple);
   }
   for (const TimerDecl& timer : program.timers) {
-    timers_.push_back(TimerState{timer.name, timer.period_ms, now_ms_ + timer.period_ms});
+    const Table* table = catalog_.Find(timer.name);
+    if (table == nullptr || table->def().arity() != 1) {
+      return InvalidArgument("timer " + timer.name + " has no one-column table");
+    }
+    timers_.push_back(
+        TimerState{timer.name, table->id(), timer.period_ms, now_ms_ + timer.period_ms});
   }
   for (const std::string& w : program.watches) {
     AddWatch(w, [](const std::string& table, const Tuple& tuple, bool inserted) {
@@ -140,30 +184,14 @@ Status Engine::Install(Program program) {
     }
     analyzer_reports_.push_back(AnalyzeProgram(program, aopts));
   }
-  programs_.push_back(std::move(program));
-  Status status = Recompile();
-  if (!status.ok()) {
-    programs_.pop_back();
-    analyzer_reports_.pop_back();
-    Status rollback = Recompile();
-    BOOM_CHECK(rollback.ok()) << "rollback recompile failed: " << rollback.ToString();
-    return status;
-  }
-  needs_seed_ = true;
-  // The seed tick replays every stored row as a delta; reset incremental accumulators so
-  // they are rebuilt once rather than double-counted.
-  for (auto& [name, state] : agg_state_) {
-    state.accum.clear();
-    state.has_input_version = false;
-  }
   return Status::Ok();
 }
 
 Status Engine::Recompile() {
   std::vector<Rule> all_rules;
   std::vector<std::string> rule_programs;
-  // Profiling, tracing, and the dirty-rule scheduler all key rules by (program, rule);
-  // a duplicate key would silently merge two rules' counters.
+  // Profiling and tracing name rules by (program, rule); a duplicate would make two rules
+  // indistinguishable in every report.
   std::set<std::pair<std::string, std::string>> rule_keys;
   for (const Program& p : programs_) {
     for (const Rule& r : p.rules) {
@@ -180,24 +208,10 @@ Status Engine::Recompile() {
     return compiled.status();
   }
   compiled_ = std::move(compiled).value();
-  // Resolve body atoms to table pointers so join steps skip the per-row catalog lookup.
-  // Pointers are stable: the catalog stores tables behind unique_ptr and never drops them.
-  auto resolve_variant = [this](CompiledVariant& variant) {
-    if (!variant.driver.table.empty()) {
-      variant.driver.table_ptr = catalog_.Find(variant.driver.table);
-    }
-    for (CompiledStep& step : variant.steps) {
-      if (step.kind == BodyTerm::Kind::kAtom) {
-        step.atom.table_ptr = catalog_.Find(step.atom.table);
-      }
-    }
-  };
-  for (CompiledRule& rule : compiled_.rules) {
-    for (CompiledVariant& variant : rule.variants) {
-      resolve_variant(variant);
-    }
-    resolve_variant(rule.full_variant);
-  }
+  // Rule ids are positions in program order, and programs are only ever appended, so an
+  // installed rule keeps its id (and its aggregate state and profile) across recompiles.
+  agg_state_.resize(compiled_.rules.size());
+  rule_stats_.resize(compiled_.rules.size());
   return Status::Ok();
 }
 
@@ -257,7 +271,7 @@ Status Engine::Enqueue(const std::string& table, Tuple tuple) {
                            std::to_string(tuple.size()) + ", want " +
                            std::to_string(t->def().arity()));
   }
-  inbox_.emplace_back(table, std::move(tuple));
+  inbox_.emplace_back(t->id(), std::move(tuple));
   ++stats_.tuples_enqueued;
   return Status::Ok();
 }
@@ -287,22 +301,36 @@ void Engine::FireWatches(const std::string& table, const Tuple& tuple, bool inse
   }
 }
 
-void Engine::RecordRuleEval(const CompiledRule& rule, uint64_t tuples, double wall_us,
-                            std::map<std::string, uint64_t>& tick_tuples) {
-  std::string key = rule.program + ":" + rule.name;
-  RuleProfile& profile = rule_profiles_[key];
-  if (profile.rule.empty()) {
-    profile.program = rule.program;
-    profile.rule = rule.name;
+void Engine::RecordRuleEval(size_t rule_idx, uint64_t tuples, double wall_us) {
+  RuleStats& stats = rule_stats_[rule_idx];
+  ++stats.evals;
+  stats.tuples += tuples;
+  stats.wall_us += wall_us;
+  if (tuples > 0) {
+    if (stats.tick_tuples == 0) {
+      tick_profiled_.push_back(rule_idx);
+    }
+    stats.tick_tuples += tuples;
   }
-  ++profile.evals;
-  profile.tuples += tuples;
-  profile.wall_us += wall_us;
-  tick_tuples[key] += tuples;
+}
+
+std::map<std::string, Engine::RuleProfile> Engine::rule_profiles() const {
+  std::map<std::string, RuleProfile> out;
+  for (size_t i = 0; i < rule_stats_.size(); ++i) {
+    const RuleStats& stats = rule_stats_[i];
+    if (stats.evals == 0) {
+      continue;
+    }
+    const CompiledRule& rule = compiled_.rules[i];
+    out.emplace(rule.program + ":" + rule.name,
+                RuleProfile{rule.program, rule.name, stats.evals, stats.tuples,
+                            stats.max_tuples_per_tick, stats.wall_us});
+  }
+  return out;
 }
 
 void Engine::ResetProfile() {
-  rule_profiles_.clear();
+  rule_stats_.assign(rule_stats_.size(), RuleStats{});
   fixpoint_profiles_.clear();
 }
 
@@ -336,7 +364,7 @@ Status Engine::PublishProfile() {
                                     Value(static_cast<int64_t>(t.probes())),
                                     Value(static_cast<int64_t>(t.probe_hits()))}));
   }
-  for (const auto& [key, p] : rule_profiles_) {
+  for (const auto& [key, p] : rule_profiles()) {
     BOOM_RETURN_IF_ERROR(Enqueue(
         "perf_rule", Tuple{Value(p.program), Value(p.rule),
                            Value(static_cast<int64_t>(p.evals)),
@@ -354,15 +382,21 @@ Status Engine::PublishProfile() {
   return Status::Ok();
 }
 
-bool Engine::ApplyLocalInsert(const std::string& table, const Tuple& tuple) {
-  Table* t = catalog_.Find(table);
-  BOOM_CHECK(t != nullptr) << "insert into undeclared table " << table;
-  Table::InsertOutcome outcome = t->Insert(tuple, now_ms_);
-  if (outcome == Table::InsertOutcome::kUnchanged) {
+void Engine::AppendDelta(uint32_t id, const Tuple& tuple) {
+  DeltaBuffer& delta = deltas_[id];
+  if (delta.rows.empty()) {
+    touched_.push_back(id);
+  }
+  delta.rows.push_back(tuple);
+}
+
+bool Engine::ApplyLocalInsert(uint32_t id, const Tuple& tuple) {
+  Table& table = catalog_.ById(id);
+  if (table.Insert(tuple, now_ms_) == Table::InsertOutcome::kUnchanged) {
     return false;
   }
-  tick_new_[table].push_back(tuple);
-  FireWatches(table, tuple, /*inserted=*/true);
+  AppendDelta(id, tuple);
+  FireWatches(table.name(), tuple, /*inserted=*/true);
   return true;
 }
 
@@ -373,12 +407,12 @@ Engine::TickResult Engine::Tick(double now_ms) {
   ctx_.now_ms = now_ms;
   TickResult result;
   evaluator_.ClearErrors();
-  tick_new_.clear();
+  // Tables are declared only between ticks (Install, PublishProfile).
+  deltas_.resize(catalog_.size());
 
   // Profiling bookkeeping (only touched when profiling is enabled; the disabled cost is one
   // predictable branch per eval site).
   using ProfClock = std::chrono::steady_clock;
-  std::map<std::string, uint64_t> tick_tuples;  // per-rule tuples this tick
   ProfClock::time_point tick_start;
   if (profile_) {
     tick_start = ProfClock::now();
@@ -398,34 +432,36 @@ Engine::TickResult Engine::Tick(double now_ms) {
   // 1. Fire due timers as events.
   for (TimerState& timer : timers_) {
     while (timer.next_deadline <= now_ms) {
-      inbox_.emplace_back(timer.name, Tuple{Value(options_.address)});
+      inbox_.emplace_back(timer.table_id, Tuple{Value(options_.address)});
       timer.next_deadline += timer.period_ms;
     }
   }
 
   // 2. Apply the inbox.
-  std::vector<std::pair<std::string, Tuple>> inbox;
+  std::vector<std::pair<uint32_t, Tuple>> inbox;
   inbox.swap(inbox_);
-  for (auto& [table, tuple] : inbox) {
-    ApplyLocalInsert(table, tuple);
+  for (const auto& [id, tuple] : inbox) {
+    ApplyLocalInsert(id, tuple);
   }
 
-  // 3. Seed after (re)install: treat every stored tuple as a delta once, so rules derive
-  // from pre-existing state.
+  // 3. Seed after (re)install: every stored tuple is a delta once, so rules derive from
+  // pre-existing state. Rows the inbox just applied are deltas already.
   if (needs_seed_) {
-    for (const std::string& name : catalog_.TableNames()) {
-      const Table& t = catalog_.Get(name);
-      std::vector<Tuple>& dst = tick_new_[name];
-      t.ForEach([&dst](const Tuple& row) { dst.push_back(row); });
+    for (uint32_t id = 0; id < catalog_.size(); ++id) {
+      const std::vector<Tuple>& applied = deltas_[id].rows;
+      const std::unordered_set<Tuple, TupleHash, TupleEq> queued(applied.begin(),
+                                                                 applied.end());
+      catalog_.ById(id).ForEach([&](const Tuple& row) {
+        if (queued.count(row) == 0) {
+          AppendDelta(id, row);
+        }
+      });
     }
   }
 
   std::vector<Derivation> deletions;
-  // Deduplicate network sends within the tick.
-  std::set<std::pair<std::pair<std::string, std::string>, Tuple>> sent;
-  // Dirty-rule worklist scratch, reused across rounds.
-  std::vector<size_t> dirty_worklist;
-  std::vector<char> dirty_mark;
+  // Deduplicate network sends within the tick: (table id, destination, row).
+  std::set<std::tuple<uint32_t, std::string, Tuple>> sent;
 
   auto apply_derivations = [&](std::vector<Derivation>& derived) {
     for (Derivation& d : derived) {
@@ -435,16 +471,16 @@ Engine::TickResult Engine::Tick(double now_ms) {
         continue;
       }
       if (d.remote) {
-        auto key = std::make_pair(std::make_pair(d.dest, d.table), d.tuple);
-        if (sent.insert(key).second) {
-          result.sends.push_back(Send{std::move(d.dest), std::move(d.table), d.tuple});
+        if (sent.emplace(d.table, d.dest, d.tuple).second) {
+          result.sends.push_back(
+              Send{std::move(d.dest), catalog_.ById(d.table).name(), std::move(d.tuple)});
           ++stats_.messages_sent;
         }
         continue;
       }
       if (d.next) {
         // Deferred head: becomes an input of the next timestep.
-        inbox_.emplace_back(std::move(d.table), std::move(d.tuple));
+        inbox_.emplace_back(d.table, std::move(d.tuple));
         continue;
       }
       ApplyLocalInsert(d.table, d.tuple);
@@ -452,8 +488,7 @@ Engine::TickResult Engine::Tick(double now_ms) {
     derived.clear();
   };
 
-  std::vector<Derivation> derived;
-  derived.reserve(64);
+  std::vector<Derivation>& derived = derived_;
 
   // 4. Strata, lowest first, following the compile-time schedule (rules grouped by role at
   // Recompile; no per-tick regrouping).
@@ -465,10 +500,12 @@ Engine::TickResult Engine::Tick(double now_ms) {
     // O(table size).
     for (size_t rule_idx : sched.agg_rules) {
       const CompiledRule* rule = &compiled_.rules[rule_idx];
+      AggState& state = agg_state_[rule_idx];
       if (rule->incremental_agg && !options_.disable_incremental_aggregates) {
         // Fold only this tick's inserts into running accumulators: O(delta), not O(table).
-        auto delta_it = tick_new_.find(rule->body_tables[0]);
-        if (delta_it == tick_new_.end() || delta_it->second.empty()) {
+        // The input table sits in a lower stratum, so its buffer is complete here.
+        const std::vector<Tuple>& delta = deltas_[rule->body_tables[0]->id()].rows;
+        if (delta.empty()) {
           continue;
         }
         ProfClock::time_point t0;
@@ -476,14 +513,14 @@ Engine::TickResult Engine::Tick(double now_ms) {
           t0 = ProfClock::now();
         }
         std::vector<std::pair<Tuple, std::vector<Value>>> bindings;
-        evaluator_.EvalAggBindings(*rule, delta_it->second, &bindings);
+        evaluator_.EvalAggBindings(*rule, delta.data(), delta.data() + delta.size(),
+                                   &bindings);
         if (bindings.empty()) {
           if (profile_) {
-            RecordRuleEval(*rule, 0, prof_elapsed_us(t0), tick_tuples);
+            RecordRuleEval(rule_idx, 0, prof_elapsed_us(t0));
           }
           continue;
         }
-        AggState& state = agg_state_[rule->name];
         std::set<Tuple> changed;
         for (auto& [key, inputs] : bindings) {
           std::vector<AggAccum>& accums = state.accum[key];
@@ -507,46 +544,37 @@ Engine::TickResult Engine::Tick(double now_ms) {
             }
           }
           ++result.derivations;
-          ApplyLocalInsert(rule->head_table, Tuple(std::move(vals)));
+          ApplyLocalInsert(rule->head_table_id, Tuple(std::move(vals)));
         }
         if (profile_) {
-          RecordRuleEval(*rule, changed.size(), prof_elapsed_us(t0), tick_tuples);
+          RecordRuleEval(rule_idx, changed.size(), prof_elapsed_us(t0));
         }
         continue;
       }
-      {
-        AggState& state = agg_state_[rule->name];
-        uint64_t version_sum = 0;
-        for (const std::string& table : rule->body_tables) {
-          const Table* t = catalog_.Find(table);
-          if (t != nullptr) {
-            version_sum += t->version();
-          }
-        }
-        if (!needs_seed_ && state.has_input_version &&
-            state.input_version_sum == version_sum &&
-            !options_.disable_aggregate_version_skip) {
-          continue;
-        }
-        state.has_input_version = true;
-        state.input_version_sum = version_sum;
+      uint64_t version_sum = 0;
+      for (const Table* table : rule->body_tables) {
+        version_sum += table->version();
       }
+      if (!needs_seed_ && state.has_input_version && state.input_version_sum == version_sum &&
+          !options_.disable_aggregate_version_skip) {
+        continue;
+      }
+      state.has_input_version = true;
+      state.input_version_sum = version_sum;
       ProfClock::time_point t0;
       if (profile_) {
         t0 = ProfClock::now();
       }
       std::vector<Tuple> head_rows;
       evaluator_.EvalAggregate(*rule, &head_rows);
-      AggState& state = agg_state_[rule->name];
       std::map<Tuple, Tuple> new_output;
-      Table* head_table = catalog_.Find(rule->head_table);
-      BOOM_CHECK(head_table != nullptr);
+      Table& head_table = catalog_.ById(rule->head_table_id);
       for (Tuple& row : head_rows) {
         ++result.derivations;
         if (rule->head_has_location && row[0].is_string() &&
             row[0].as_string() != options_.address) {
           // Remote aggregate result: send when changed since last time.
-          Tuple group_key = head_table->KeyOf(row);
+          Tuple group_key = head_table.KeyOf(row);
           auto it = state.last_sent.find(group_key);
           if (it == state.last_sent.end() || it->second != row) {
             state.last_sent[group_key] = row;
@@ -555,46 +583,52 @@ Engine::TickResult Engine::Tick(double now_ms) {
           }
           continue;
         }
-        Tuple group_key = head_table->KeyOf(row);
+        Tuple group_key = head_table.KeyOf(row);
         new_output.emplace(std::move(group_key), row);
-        ApplyLocalInsert(rule->head_table, row);
+        ApplyLocalInsert(rule->head_table_id, row);
       }
       // Retract groups this rule derived before but no longer does.
       for (const auto& [key, old_row] : state.last_output) {
         if (new_output.count(key) > 0) {
           continue;
         }
-        const Tuple* current = head_table->LookupByKey(key);
+        const Tuple* current = head_table.LookupByKey(key);
         if (current != nullptr && *current == old_row) {
-          head_table->EraseByKey(key);
+          head_table.EraseByKey(key);
           FireWatches(rule->head_table, old_row, /*inserted=*/false);
         }
       }
       state.last_output = std::move(new_output);
       if (profile_) {
-        RecordRuleEval(*rule, head_rows.size(), prof_elapsed_us(t0), tick_tuples);
+        RecordRuleEval(rule_idx, head_rows.size(), prof_elapsed_us(t0));
       }
     }
 
     // 4b. Driverless rules run once, at seed time.
     if (needs_seed_) {
       for (size_t rule_idx : sched.seed_rules) {
-        const CompiledRule* rule = &compiled_.rules[rule_idx];
         ProfClock::time_point t0;
         if (profile_) {
           t0 = ProfClock::now();
         }
-        evaluator_.EvalFull(*rule, &derived);
+        evaluator_.EvalFull(compiled_.rules[rule_idx], &derived);
         size_t produced = derived.size();
         apply_derivations(derived);
         if (profile_) {
-          RecordRuleEval(*rule, produced, prof_elapsed_us(t0), tick_tuples);
+          RecordRuleEval(rule_idx, produced, prof_elapsed_us(t0));
         }
       }
     }
 
-    // 4c. Semi-naive rounds over this stratum.
-    std::unordered_map<std::string, size_t> cursor;  // per-table consumed prefix of tick_new_
+    // 4c. Semi-naive rounds over this stratum. Each stratum starts over at every buffer's
+    // first row; a round consumes what earlier rounds of this stratum left unconsumed.
+    for (uint32_t id : touched_) {
+      deltas_[id].begin = deltas_[id].end = 0;
+    }
+    const bool exhaustive = options_.disable_dirty_rule_scheduling;
+    if (dirty_mark_.size() < sched.delta_rules.size()) {
+      dirty_mark_.resize(sched.delta_rules.size(), 0);
+    }
     size_t rounds = 0;
     while (true) {
       if (++rounds > options_.max_rounds_per_tick) {
@@ -602,65 +636,76 @@ Engine::TickResult Engine::Tick(double now_ms) {
                                 std::to_string(options_.max_rounds_per_tick) + " rounds");
         break;
       }
-      // Snapshot unconsumed deltas.
-      std::map<std::string, std::vector<Tuple>> deltas;
-      for (const auto& [table, rows] : tick_new_) {
-        size_t& c = cursor[table];
-        if (c < rows.size()) {
-          deltas[table].assign(rows.begin() + static_cast<long>(c), rows.end());
-          c = rows.size();
+      // Advance each buffer's round range to its unconsumed suffix, and collect the dirty
+      // rules: those with a variant driven by a table that has rows this round, in
+      // delta_rules (program) order — the same order, and the same evaluations, as the
+      // exhaustive scan, minus the rules whose variants would all find an empty range.
+      bool any_delta = false;
+      dirty_worklist_.clear();
+      for (uint32_t id : touched_) {
+        DeltaBuffer& delta = deltas_[id];
+        delta.begin = delta.end;
+        delta.end = delta.rows.size();
+        if (delta.begin == delta.end) {
+          continue;
+        }
+        any_delta = true;
+        if (exhaustive) {
+          continue;
+        }
+        auto driven = sched.delta_rules_by_driver.find(id);
+        if (driven == sched.delta_rules_by_driver.end()) {
+          continue;
+        }
+        for (size_t pos : driven->second) {
+          if (!dirty_mark_[pos]) {
+            dirty_mark_[pos] = 1;
+            dirty_worklist_.push_back(pos);
+          }
         }
       }
-      if (deltas.empty()) {
+      if (!any_delta) {
         break;
       }
       ++result.rounds;
-      // Dirty-rule worklist: only rules with a variant driven by a table that actually
-      // received deltas this round, in delta_rules (program) order — the same order, and
-      // the same evaluations, as the exhaustive scan, minus the rules that would have been
-      // skipped at their deltas.find() anyway.
-      const bool exhaustive = options_.disable_dirty_rule_scheduling;
-      dirty_worklist.clear();
-      if (!exhaustive) {
-        dirty_mark.assign(sched.delta_rules.size(), 0);
-        for (const auto& [table, rows] : deltas) {
-          auto it = sched.delta_rules_by_driver.find(table);
-          if (it == sched.delta_rules_by_driver.end()) {
-            continue;
-          }
-          for (size_t pos : it->second) {
-            if (!dirty_mark[pos]) {
-              dirty_mark[pos] = 1;
-              dirty_worklist.push_back(pos);
-            }
-          }
+      if (exhaustive) {
+        dirty_worklist_.resize(sched.delta_rules.size());
+        for (size_t i = 0; i < dirty_worklist_.size(); ++i) {
+          dirty_worklist_[i] = i;
         }
-        std::sort(dirty_worklist.begin(), dirty_worklist.end());
       } else {
-        dirty_worklist.resize(sched.delta_rules.size());
-        for (size_t i = 0; i < dirty_worklist.size(); ++i) {
-          dirty_worklist[i] = i;
+        std::sort(dirty_worklist_.begin(), dirty_worklist_.end());
+        for (size_t pos : dirty_worklist_) {
+          dirty_mark_[pos] = 0;
         }
       }
-      for (size_t pos : dirty_worklist) {
-        const CompiledRule* rule = &compiled_.rules[sched.delta_rules[pos]];
+      if (dirty_worklist_.empty()) {
+        break;  // nothing runs, so nothing new arrives: the next round would be empty
+      }
+      for (size_t pos : dirty_worklist_) {
+        const size_t rule_idx = sched.delta_rules[pos];
+        const CompiledRule& rule = compiled_.rules[rule_idx];
         ProfClock::time_point t0;
         bool evaluated = false;
         if (profile_) {
           t0 = ProfClock::now();
         }
-        for (const CompiledVariant& variant : rule->variants) {
-          auto it = deltas.find(variant.driver_table);
-          if (it == deltas.end()) {
+        // The range is taken right before each call: applying derivations (below) can grow
+        // and reallocate a buffer, but nothing touches one while a rule evaluates.
+        for (const CompiledVariant& variant : rule.variants) {
+          const DeltaBuffer& delta = deltas_[variant.driver.table_id];
+          if (delta.begin == delta.end) {
             continue;
           }
-          evaluator_.EvalFromRows(*rule, variant, it->second, &derived);
+          const Tuple* rows = delta.rows.data();
+          evaluator_.EvalFromRows(rule, variant, rows + delta.begin, rows + delta.end,
+                                  &derived);
           evaluated = true;
         }
         size_t produced = derived.size();
         apply_derivations(derived);
         if (profile_ && evaluated) {
-          RecordRuleEval(*rule, produced, prof_elapsed_us(t0), tick_tuples);
+          RecordRuleEval(rule_idx, produced, prof_elapsed_us(t0));
         }
       }
     }
@@ -671,14 +716,20 @@ Engine::TickResult Engine::Tick(double now_ms) {
     if (d.remote) {
       continue;  // remote deletes are not part of the language subset
     }
-    Table* t = catalog_.Find(d.table);
-    if (t != nullptr && t->Erase(d.tuple)) {
-      FireWatches(d.table, d.tuple, /*inserted=*/false);
+    Table& table = catalog_.ById(d.table);
+    if (table.Erase(d.tuple)) {
+      FireWatches(table.name(), d.tuple, /*inserted=*/false);
     }
   }
 
-  // 6. Clear events; finish.
+  // 6. Clear events and this tick's delta buffers (keeping their capacity); finish.
   catalog_.ClearEvents();
+  for (uint32_t id : touched_) {
+    DeltaBuffer& delta = deltas_[id];
+    delta.rows.clear();
+    delta.begin = delta.end = 0;
+  }
+  touched_.clear();
   needs_seed_ = false;
   for (const std::string& err : evaluator_.errors()) {
     result.errors.push_back(err);
@@ -686,10 +737,12 @@ Engine::TickResult Engine::Tick(double now_ms) {
   ++stats_.ticks;
   stats_.derivations += result.derivations;
   if (profile_) {
-    for (const auto& [key, n] : tick_tuples) {
-      RuleProfile& profile = rule_profiles_[key];
-      profile.max_tuples_per_tick = std::max(profile.max_tuples_per_tick, n);
+    for (size_t rule_idx : tick_profiled_) {
+      RuleStats& stats = rule_stats_[rule_idx];
+      stats.max_tuples_per_tick = std::max(stats.max_tuples_per_tick, stats.tick_tuples);
+      stats.tick_tuples = 0;
     }
+    tick_profiled_.clear();
     FixpointProfile fp;
     fp.tick = stats_.ticks;
     fp.now_ms = now_ms;

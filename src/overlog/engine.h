@@ -12,6 +12,11 @@
 //
 // Multiple programs can be installed on one engine (e.g. Paxos + BOOM-FS on a NameNode
 // replica); rules are recompiled and stratified over the union.
+//
+// The tick runs on dense ids resolved at compile time: tables by Table::id(), rules by their
+// index in compiled().rules. Each table's rows inserted this tick sit in one append-only
+// delta buffer; a fixpoint round consumes each buffer as a [begin, end) range, so no row is
+// copied per stratum or per round.
 
 #ifndef SRC_OVERLOG_ENGINE_H_
 #define SRC_OVERLOG_ENGINE_H_
@@ -23,7 +28,6 @@
 #include <optional>
 #include <random>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/status.h"
@@ -69,6 +73,10 @@ class Engine {
   // Parses and installs a program. Tables declared by earlier programs are visible.
   Status InstallSource(std::string_view source, std::map<std::string, Value> consts = {});
   Status Install(Program program);
+  // Installs several programs in order with one recompilation of the union (what
+  // installing them one by one would compile last). On error none of them is added to
+  // programs(), as with a failed single install.
+  Status Install(std::vector<Program> programs);
   const std::vector<Program>& programs() const { return programs_; }
 
   // Advisory analyzer report for each installed program (parallel to programs()). Run with
@@ -142,8 +150,9 @@ class Engine {
 
   void EnableProfiling(bool on = true) { profile_ = on; }
   bool profiling() const { return profile_; }
-  // Cumulative per-rule counters, keyed by "<program>:<rule>"; sorted by key.
-  const std::map<std::string, RuleProfile>& rule_profiles() const { return rule_profiles_; }
+  // Cumulative per-rule counters of every rule evaluated at least once, keyed by
+  // "<program>:<rule>"; sorted by key. Built on each call.
+  std::map<std::string, RuleProfile> rule_profiles() const;
   // Per-tick summaries, oldest first, bounded to the most recent kMaxFixpointProfiles.
   const std::deque<FixpointProfile>& fixpoint_profiles() const { return fixpoint_profiles_; }
   void ResetProfile();
@@ -163,6 +172,7 @@ class Engine {
  private:
   struct TimerState {
     std::string name;
+    uint32_t table_id;  // the timer's event table
     double period_ms;
     double next_deadline;
   };
@@ -192,12 +202,34 @@ class Engine {
     std::map<Tuple, std::vector<AggAccum>> accum;
   };
 
+  // One table's rows inserted (new or replaced) this tick, in insertion order. A fixpoint
+  // round consumes rows[begin, end); rows appended during the round wait for the next one.
+  struct DeltaBuffer {
+    std::vector<Tuple> rows;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  // Per-rule profiling counters; names are attached only in rule_profiles().
+  struct RuleStats {
+    uint64_t evals = 0;
+    uint64_t tuples = 0;
+    uint64_t max_tuples_per_tick = 0;
+    uint64_t tick_tuples = 0;  // this tick so far
+    double wall_us = 0;
+  };
+
+  // Declares `program`'s tables, loads its facts, arms its timers and watches, and records
+  // its analyzer report; the caller appends it to programs_ and recompiles.
+  Status Stage(const Program& program);
   Status Recompile();
-  void RecordRuleEval(const CompiledRule& rule, uint64_t tuples, double wall_us,
-                      std::map<std::string, uint64_t>& tick_tuples);
+  void RecordRuleEval(size_t rule_idx, uint64_t tuples, double wall_us);
   void FireWatches(const std::string& table, const Tuple& tuple, bool inserted);
-  // Inserts locally; appends to tick_new_ on change; fires watches. Returns true if new.
-  bool ApplyLocalInsert(const std::string& table, const Tuple& tuple);
+  // Appends `tuple` to table `id`'s delta buffer.
+  void AppendDelta(uint32_t id, const Tuple& tuple);
+  // Inserts locally; appends to the delta buffer on change; fires watches. Returns true if
+  // new.
+  bool ApplyLocalInsert(uint32_t id, const Tuple& tuple);
 
   EngineOptions options_;
   Catalog catalog_;
@@ -211,13 +243,17 @@ class Engine {
   CompiledProgram compiled_;
   std::vector<TimerState> timers_;
   std::map<std::string, std::vector<WatchFn>> watches_;
-  std::map<std::string, AggState> agg_state_;  // keyed by rule name
+  std::vector<AggState> agg_state_;  // by rule id
 
-  std::vector<std::pair<std::string, Tuple>> inbox_;
-  // Tuples newly inserted this tick. Keyed lookups only on the hot path; the per-round delta
-  // snapshot in Tick copies into an ordered map, so iteration order here never leaks into
-  // evaluation order (determinism).
-  std::unordered_map<std::string, std::vector<Tuple>> tick_new_;
+  std::vector<std::pair<uint32_t, Tuple>> inbox_;  // (table id, row)
+  std::vector<DeltaBuffer> deltas_;   // by table id; emptied at the end of every tick
+  std::vector<uint32_t> touched_;     // ids whose delta buffer is nonempty this tick
+  // Tick scratch, kept to reuse its capacity: derivations of the rule being applied, and
+  // the dirty-rule worklist (positions in a stratum's delta_rules) with its all-zero-
+  // between-rounds membership marks.
+  std::vector<Derivation> derived_;
+  std::vector<size_t> dirty_worklist_;
+  std::vector<char> dirty_mark_;
 
   double now_ms_ = 0;
   bool needs_seed_ = false;
@@ -225,7 +261,8 @@ class Engine {
   Stats stats_;
 
   bool profile_ = false;
-  std::map<std::string, RuleProfile> rule_profiles_;  // keyed by "<program>:<rule>"
+  std::vector<RuleStats> rule_stats_;  // by rule id
+  std::vector<size_t> tick_profiled_;  // rule ids with tick_tuples > 0 this tick
   std::deque<FixpointProfile> fixpoint_profiles_;
 };
 

@@ -120,8 +120,7 @@ void Evaluator::JoinSteps(const CompiledRule& rule, const CompiledVariant& varia
     }
     case BodyTerm::Kind::kAtom: {
       const CompiledAtom& atom = step.atom;
-      Table* table = atom.table_ptr != nullptr ? atom.table_ptr : catalog_->Find(atom.table);
-      BOOM_CHECK(table != nullptr) << "planner admitted unknown table " << atom.table;
+      Table* table = &catalog_->ById(atom.table_id);
       auto probe_value = [&atom, slots](size_t col) -> const Value& {
         const CompiledArg& arg = atom.args[col];
         return arg.is_const ? arg.constant : (*slots)[static_cast<size_t>(arg.slot)];
@@ -186,7 +185,7 @@ void Evaluator::EmitHead(const CompiledRule& rule, const std::vector<Value>& slo
   Derivation d;
   d.kind = rule.is_delete ? Derivation::Kind::kDelete : Derivation::Kind::kInsert;
   d.next = rule.is_next;
-  d.table = rule.head_table;
+  d.table = rule.head_table_id;
   if (rule.head_has_location) {
     if (!vals[0].is_string()) {
       RecordError(InvalidArgument("rule " + rule.name + ": @location must be a string, got " +
@@ -203,19 +202,18 @@ void Evaluator::EmitHead(const CompiledRule& rule, const std::vector<Value>& slo
 }
 
 void Evaluator::EvalFromRows(const CompiledRule& rule, const CompiledVariant& variant,
-                             const std::vector<Tuple>& driver_rows,
+                             const Tuple* begin, const Tuple* end,
                              std::vector<Derivation>* out) {
   EnsureProbeDepth(variant.steps.size());
   // Reused scratch: unbound slots are never read (planner safety guarantees bound-before-
   // use), so resetting to nil is only for debuggability, not correctness.
   std::vector<Value>& slots = slots_scratch_;
   slots.assign(static_cast<size_t>(rule.num_slots), Value());
-  for (const Tuple& row : driver_rows) {
-    if (!BindAtomRow(variant.driver, row, &slots)) {
-      continue;
+  auto emit = [this, &rule, out](const std::vector<Value>& s) { EmitHead(rule, s, out); };
+  for (const Tuple* row = begin; row != end; ++row) {
+    if (BindAtomRow(variant.driver, *row, &slots)) {
+      JoinSteps(rule, variant, 0, &slots, emit);
     }
-    JoinSteps(rule, variant, 0, &slots,
-              [this, &rule, out](const std::vector<Value>& s) { EmitHead(rule, s, out); });
   }
 }
 
@@ -229,14 +227,21 @@ void Evaluator::EvalFull(const CompiledRule& rule, std::vector<Derivation>* out)
               [this, &rule, out](const std::vector<Value>& s) { EmitHead(rule, s, out); });
     return;
   }
-  Table* driver = catalog_->Find(variant.driver_table);
-  BOOM_CHECK(driver != nullptr);
-  std::vector<Tuple> rows = driver->Rows();
-  EvalFromRows(rule, variant, rows, out);
+  // Nothing mutates a table while the rule evaluates (derivations are buffered), so the
+  // driver is visited in place.
+  EnsureProbeDepth(variant.steps.size());
+  std::vector<Value>& slots = slots_scratch_;
+  slots.assign(static_cast<size_t>(rule.num_slots), Value());
+  auto emit = [this, &rule, out](const std::vector<Value>& s) { EmitHead(rule, s, out); };
+  catalog_->ById(variant.driver.table_id).ForEach([&](const Tuple& row) {
+    if (BindAtomRow(variant.driver, row, &slots)) {
+      JoinSteps(rule, variant, 0, &slots, emit);
+    }
+  });
 }
 
-void Evaluator::EvalAggBindings(const CompiledRule& rule,
-                                const std::vector<Tuple>& driver_rows,
+void Evaluator::EvalAggBindings(const CompiledRule& rule, const Tuple* begin,
+                                const Tuple* end,
                                 std::vector<std::pair<Tuple, std::vector<Value>>>* out) {
   const CompiledVariant& variant = rule.full_variant;
   std::vector<size_t> agg_positions;
@@ -274,11 +279,10 @@ void Evaluator::EvalAggBindings(const CompiledRule& rule,
     }
     out->emplace_back(Tuple(std::move(key_vals)), std::move(inputs));
   };
-  for (const Tuple& row : driver_rows) {
-    if (!BindAtomRow(variant.driver, row, &slots)) {
-      continue;
+  for (const Tuple* row = begin; row != end; ++row) {
+    if (BindAtomRow(variant.driver, *row, &slots)) {
+      JoinSteps(rule, variant, 0, &slots, emit);
     }
-    JoinSteps(rule, variant, 0, &slots, emit);
   }
 }
 
@@ -351,15 +355,11 @@ void Evaluator::EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head
   if (variant.driver_table.empty()) {
     JoinSteps(rule, variant, 0, &slots, emit);
   } else {
-    Table* driver = catalog_->Find(variant.driver_table);
-    BOOM_CHECK(driver != nullptr);
-    std::vector<Tuple> rows = driver->Rows();
-    for (const Tuple& row : rows) {
-      if (!BindAtomRow(variant.driver, row, &slots)) {
-        continue;
+    catalog_->ById(variant.driver.table_id).ForEach([&](const Tuple& row) {
+      if (BindAtomRow(variant.driver, row, &slots)) {
+        JoinSteps(rule, variant, 0, &slots, emit);
       }
-      JoinSteps(rule, variant, 0, &slots, emit);
-    }
+    });
   }
 
   // Fold each group into a head tuple.

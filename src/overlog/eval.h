@@ -1,9 +1,10 @@
 // Evaluator: executes compiled rule variants against the catalog, producing derivations.
 //
 // The Engine drives semi-naive evaluation by calling EvalFromRows with each rule variant and
-// the delta tuples of that variant's driver table. Aggregate rules are recomputed in full via
-// EvalAggregate. Runtime expression errors (e.g. division by zero) drop the offending binding
-// and are recorded in errors() — they never abort a tick, matching P2/JOL behaviour.
+// the range of its driver table's delta buffer that the current round consumes. Aggregate
+// rules are recomputed in full via EvalAggregate. Runtime expression errors (e.g. division by
+// zero) drop the offending binding and are recorded in errors() — they never abort a tick,
+// matching P2/JOL behaviour.
 
 #ifndef SRC_OVERLOG_EVAL_H_
 #define SRC_OVERLOG_EVAL_H_
@@ -20,7 +21,7 @@ namespace boom {
 struct Derivation {
   enum class Kind { kInsert, kDelete };
   Kind kind = Kind::kInsert;
-  std::string table;
+  uint32_t table = 0;  // catalog id of the head table
   Tuple tuple;
   bool remote = false;
   bool next = false;  // @next rule: apply at the following timestep
@@ -39,9 +40,10 @@ class Evaluator {
   Evaluator(Catalog* catalog, const BuiltinRegistry* builtins, const EvalContext* ctx)
       : catalog_(catalog), builtins_(builtins), ctx_(ctx) {}
 
-  // Drives `variant` from the given driver rows.
+  // Drives `variant` from the driver rows [begin, end). The range must stay valid for the
+  // call: the evaluator buffers derivations in `out` and never mutates a table itself.
   void EvalFromRows(const CompiledRule& rule, const CompiledVariant& variant,
-                    const std::vector<Tuple>& driver_rows, std::vector<Derivation>* out);
+                    const Tuple* begin, const Tuple* end, std::vector<Derivation>* out);
 
   // Drives the rule's full variant from the driver table's current contents; for driverless
   // rules the body is evaluated once.
@@ -50,9 +52,9 @@ class Evaluator {
   // Recomputes an aggregate rule from scratch: one head tuple per group.
   void EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head_rows);
 
-  // For incremental aggregates: evaluates the (single-atom) body over just `driver_rows`
-  // and returns one (group key, agg input values) pair per satisfied binding.
-  void EvalAggBindings(const CompiledRule& rule, const std::vector<Tuple>& driver_rows,
+  // For incremental aggregates: evaluates the (single-atom) body over just the driver rows
+  // [begin, end) and returns one (group key, agg input values) pair per satisfied binding.
+  void EvalAggBindings(const CompiledRule& rule, const Tuple* begin, const Tuple* end,
                        std::vector<std::pair<Tuple, std::vector<Value>>>* out);
 
   const std::vector<std::string>& errors() const { return errors_; }

@@ -41,6 +41,7 @@ class RuleCompiler {
                  std::to_string(rule_.head.args.size()) + " args, table has " +
                  std::to_string(head_table->def().arity()));
     }
+    out.head_table_id = head_table->id();
     out.head_is_event = head_table->def().kind == TableKind::kEvent;
     if (out.is_delete) {
       if (out.head_is_event) {
@@ -58,7 +59,7 @@ class RuleCompiler {
     for (size_t i = 0; i < rule_.body.size(); ++i) {
       const BodyTerm& t = rule_.body[i];
       if (t.kind == BodyTerm::Kind::kAtom) {
-        out.body_tables.push_back(t.atom.table);
+        out.body_tables.push_back(catalog_.Find(t.atom.table));
         if (!t.atom.negated) {
           positive_atoms.push_back(i);
         }
@@ -204,8 +205,10 @@ class RuleCompiler {
   // Compiles an atom given the current bound-slot set; updates `bound` with new bindings.
   CompiledAtom CompileAtom(const Atom& atom, const CompiledRule& out,
                            std::set<int>* bound, bool is_probe) const {
+    const Table* table = catalog_.Find(atom.table);
     CompiledAtom ca;
     ca.table = atom.table;
+    ca.table_id = table->id();
     ca.negated = atom.negated;
     std::set<int> locally_bound;
     for (size_t i = 0; i < atom.args.size(); ++i) {
@@ -233,7 +236,7 @@ class RuleCompiler {
       }
       ca.args.push_back(std::move(carg));
     }
-    ca.key_lookup = is_probe && catalog_.Find(atom.table)->def().KeyCoveredBy(ca.probe_cols);
+    ca.key_lookup = is_probe && table->def().KeyCoveredBy(ca.probe_cols);
     if (!atom.negated) {
       for (int s : locally_bound) {
         bound->insert(s);
@@ -481,10 +484,10 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
   // A table is insert-only when no delete rule targets it and no aggregate rule derives it
   // (aggregate reconciliation can retract rows).
   {
-    std::set<std::string> mutated;
+    std::set<uint32_t> mutated;
     for (const CompiledRule& cr : out.rules) {
       if (cr.is_delete || cr.has_agg) {
-        mutated.insert(cr.head_table);
+        mutated.insert(cr.head_table_id);
       }
     }
     for (CompiledRule& cr : out.rules) {
@@ -492,11 +495,11 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
           cr.head_has_location) {
         continue;
       }
-      const Table* driver = catalog.Find(cr.body_tables[0]);
-      if (driver == nullptr || driver->def().kind != TableKind::kTable ||
+      const Table* driver = cr.body_tables[0];
+      if (driver->def().kind != TableKind::kTable ||
           driver->def().ttl_ms > 0 ||  // soft-state rows expire: not insert-only
           driver->def().EffectiveKey().size() != driver->def().arity() ||
-          mutated.count(cr.body_tables[0]) > 0) {
+          mutated.count(driver->id()) > 0) {
         continue;
       }
       bool kinds_ok = true;
@@ -616,7 +619,7 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
     size_t pos = sched.delta_rules.size();
     sched.delta_rules.push_back(i);
     for (const CompiledVariant& v : cr.variants) {
-      std::vector<size_t>& driven = sched.delta_rules_by_driver[v.driver_table];
+      std::vector<size_t>& driven = sched.delta_rules_by_driver[v.driver.table_id];
       if (driven.empty() || driven.back() != pos) {  // variants may share a driver table
         driven.push_back(pos);
       }

@@ -33,10 +33,7 @@ struct CompiledArg {
 
 struct CompiledAtom {
   std::string table;
-  // Resolved by Engine::Recompile after compilation (table addresses are stable: the catalog
-  // stores tables behind unique_ptr). Saves a string-hash catalog lookup per join step per
-  // row; the evaluator falls back to Catalog::Find when null.
-  Table* table_ptr = nullptr;
+  uint32_t table_id = 0;  // Catalog::ById(table_id) is `table`
   bool negated = false;
   std::vector<CompiledArg> args;
   // Columns to probe on (const args + already-bound vars at this point in the ordering).
@@ -79,6 +76,7 @@ struct CompiledRule {
   int stratum = 0;
 
   std::string head_table;
+  uint32_t head_table_id = 0;
   bool head_is_event = false;
   bool head_has_location = false;
   std::vector<CompiledHeadArg> head_args;
@@ -92,9 +90,10 @@ struct CompiledRule {
   CompiledVariant full_variant;
   // True when the body has no positive atoms: evaluated only at seed time.
   bool driverless = false;
-  // All tables referenced in the body (positive and negated); lets the engine skip
-  // aggregate recomputation when none of them changed.
-  std::vector<std::string> body_tables;
+  // All tables referenced in the body (positive and negated), in body order; lets the
+  // engine skip aggregate recomputation when none of them changed. Catalog tables never
+  // move or get dropped, so the pointers stay valid.
+  std::vector<const Table*> body_tables;
   // Exactly one positive atom in the body: aggregate bindings are already distinct per
   // driver row, so the evaluator can skip fingerprint deduplication.
   bool single_positive_atom = false;
@@ -111,12 +110,12 @@ struct StratumSchedule {
   std::vector<size_t> agg_rules;    // aggregate rules, reconciled at stratum entry
   std::vector<size_t> seed_rules;   // driverless non-aggregate rules (seed tick only)
   std::vector<size_t> delta_rules;  // semi-naive rules
-  // Driver table -> ascending positions in delta_rules having a variant driven by it. A
+  // Driver table id -> ascending positions in delta_rules having a variant driven by it. A
   // fixpoint round unions the entries for tables that actually received deltas (the "dirty
   // rules") and evaluates only those, in delta_rules order — exactly the order the
   // exhaustive every-rule loop used, so derivation order (and with it send order, watch
   // order, and chaos schedules) is unchanged.
-  std::unordered_map<std::string, std::vector<size_t>> delta_rules_by_driver;
+  std::unordered_map<uint32_t, std::vector<size_t>> delta_rules_by_driver;
 };
 
 struct CompiledProgram {

@@ -23,7 +23,7 @@ bool TableDef::KeyCoveredBy(const std::vector<size_t>& cols) const {
   });
 }
 
-Table::Table(TableDef def) : def_(std::move(def)) {
+Table::Table(TableDef def, uint32_t id) : def_(std::move(def)), id_(id) {
   effective_key_ = def_.EffectiveKey();
 }
 
@@ -33,7 +33,21 @@ Table::InsertOutcome Table::Insert(Tuple tuple, double now_ms) {
       << ", want " << def_.arity();
   Tuple key = KeyOf(tuple);
   if (def_.ttl_ms > 0) {
-    row_time_[key] = now_ms;  // stamp, or refresh the lease on re-insertion
+    // Stamp, or refresh the lease on re-insertion.
+    auto [stamp, fresh] = row_time_.try_emplace(key, now_ms);
+    if (fresh || stamp->second != now_ms) {
+      stamp->second = now_ms;
+      // The engine's clock never runs backwards, so this is an append; an older stamp
+      // (a standalone table driven out of order) is placed in order.
+      auto pos = expiry_queue_.end();
+      if (expiry_head_ < expiry_queue_.size() && now_ms < expiry_queue_.back().first) {
+        pos = std::upper_bound(
+            expiry_queue_.begin() + static_cast<long>(expiry_head_), expiry_queue_.end(),
+            now_ms,
+            [](double t, const std::pair<double, Tuple>& entry) { return t < entry.first; });
+      }
+      expiry_queue_.emplace(pos, now_ms, key);
+    }
   }
   // Single hash-table traversal for both the new-key and existing-key cases; the mapped
   // Tuple is only copied (a refcount bump) when the key is actually new.
@@ -212,6 +226,8 @@ void Table::Clear() {
   if (!rows_.empty()) {
     rows_.clear();
     row_time_.clear();
+    expiry_queue_.clear();
+    expiry_head_ = 0;
     for (auto& [cols, index] : indexes_) {
       index.clear();
     }
@@ -221,21 +237,27 @@ void Table::Clear() {
 
 std::vector<Tuple> Table::ExpireOlderThan(double cutoff_ms) {
   std::vector<Tuple> expired;
-  if (def_.ttl_ms <= 0) {
-    return expired;
-  }
-  for (auto it = row_time_.begin(); it != row_time_.end();) {
-    if (it->second < cutoff_ms) {
-      auto row_it = rows_.find(it->first);
-      if (row_it != rows_.end()) {
-        expired.push_back(row_it->second);
-        RemoveRowFromIndexes(&row_it->second);
-        rows_.erase(row_it);
-      }
-      it = row_time_.erase(it);
-    } else {
-      ++it;
+  while (expiry_head_ < expiry_queue_.size() &&
+         expiry_queue_[expiry_head_].first < cutoff_ms) {
+    auto [stamp, key] = std::move(expiry_queue_[expiry_head_++]);
+    auto time_it = row_time_.find(key);
+    if (time_it == row_time_.end() || time_it->second != stamp) {
+      continue;  // stale: refreshed since, or already expired
     }
+    row_time_.erase(time_it);
+    auto row_it = rows_.find(key);
+    if (row_it != rows_.end()) {
+      expired.push_back(row_it->second);
+      RemoveRowFromIndexes(&row_it->second);
+      rows_.erase(row_it);
+    }
+  }
+  // Drop the consumed prefix once it is at least half the queue: a compaction moves no more
+  // entries than it drops, so the cost stays amortized O(expired).
+  if (expiry_head_ * 2 >= expiry_queue_.size()) {
+    expiry_queue_.erase(expiry_queue_.begin(),
+                        expiry_queue_.begin() + static_cast<long>(expiry_head_));
+    expiry_head_ = 0;
   }
   if (!expired.empty()) {
     ++version_;

@@ -58,10 +58,13 @@ using Index = std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, Tu
 
 class Table {
  public:
-  explicit Table(TableDef def);
+  // `id` is the table's dense index in its Catalog (declaration order); the engine keys its
+  // per-tick delta buffers and compiled plans by it.
+  explicit Table(TableDef def, uint32_t id = 0);
 
   const TableDef& def() const { return def_; }
   const std::string& name() const { return def_.name; }
+  uint32_t id() const { return id_; }
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
   uint64_t version() const { return version_; }
@@ -121,7 +124,8 @@ class Table {
 
   void Clear();
 
-  // Soft state: removes rows stamped before `cutoff_ms`, returning the expired rows.
+  // Soft state: removes rows stamped before `cutoff_ms`, returning the expired rows in stamp
+  // order. O(1) when no stamp is older than the cutoff, O(expired) otherwise (amortized).
   std::vector<Tuple> ExpireOlderThan(double cutoff_ms);
 
   // Extracts the primary key projection from a full row.
@@ -151,10 +155,16 @@ class Table {
   void AddRowToIndexes(const Tuple* row);
 
   TableDef def_;
+  uint32_t id_;
   std::vector<size_t> effective_key_;
   // Key projection -> full row. Node addresses are stable, so indexes hold row pointers.
   std::unordered_map<Tuple, Tuple, TupleHash, TupleEq> rows_;
   std::unordered_map<Tuple, double, TupleHash> row_time_;  // TTL tables only
+  // TTL tables only: (stamp, key) per stamping, in non-decreasing stamp order from
+  // expiry_head_ on; entries before it are consumed. An entry whose stamp no longer matches
+  // row_time_ is stale (its key was refreshed or expired) and is skipped when reached.
+  std::vector<std::pair<double, Tuple>> expiry_queue_;
+  size_t expiry_head_ = 0;
   std::map<std::vector<size_t>, Index> indexes_;
   uint64_t version_ = 0;
   std::vector<const Tuple*> empty_result_;

@@ -1,7 +1,7 @@
 // Tuple: a row of Values with a cached hash and copy-on-write storage.
 //
 // Copying a Tuple is a refcount bump: the engine's delta pipeline (derive -> store -> delta
-// snapshot -> send) passes each row through several containers, and none of those hops
+// buffer -> send) passes each row through several containers, and none of those hops
 // should allocate. The hash is computed lazily on first use and cached in the shared rep;
 // in-place mutation via set() clones the rep if shared and invalidates the cache.
 //

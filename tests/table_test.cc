@@ -368,6 +368,26 @@ TEST(TableTest, KeyLookupHitRequiresExtraColumnMatch) {
   EXPECT_EQ(t.probe_hits(), 1u);
 }
 
+TEST(TableTest, ExpiryFollowsLatestStamps) {
+  TableDef def = KeyedDef();
+  def.ttl_ms = 10;
+  Table t(def);
+  auto row = [](int id) { return Tuple{Value(id), Value(0), Value("f")}; };
+  t.Insert(row(1), 10);
+  t.Insert(row(2), 5);   // older stamp arriving later
+  t.Insert(row(3), 10);
+  t.Insert(row(3), 20);  // refreshed lease
+  EXPECT_TRUE(t.ExpireOlderThan(5).empty());
+  EXPECT_EQ(t.ExpireOlderThan(8), (std::vector<Tuple>{row(2)}));
+  EXPECT_EQ(t.ExpireOlderThan(15), (std::vector<Tuple>{row(1)}));
+  t.EraseByKey(Tuple{Value(3)});
+  EXPECT_TRUE(t.ExpireOlderThan(25).empty());  // erased before its lease ran out
+  EXPECT_TRUE(t.empty());
+  t.Insert(row(3), 30);  // a re-inserted key gets a fresh lease
+  EXPECT_TRUE(t.ExpireOlderThan(30).empty());
+  EXPECT_EQ(t.ExpireOlderThan(31), (std::vector<Tuple>{row(3)}));
+}
+
 TEST(CatalogTest, DeclareAndFind) {
   Catalog c;
   ASSERT_TRUE(c.Declare(KeyedDef()).ok());
