@@ -3,6 +3,7 @@
 #
 #   scripts/check.sh            # everything below
 #   SKIP_ASAN=1 scripts/check.sh  # inner loop only (no sanitizer rebuild)
+#   SKIP_UBSAN=1 scripts/check.sh # skip the UndefinedBehaviorSanitizer leg
 #   SKIP_TSAN=1 scripts/check.sh  # skip the ThreadSanitizer leg
 #   SKIP_BENCH=1 scripts/check.sh # skip the Release bench smoke (e.g. loaded CI box)
 #
@@ -25,6 +26,9 @@
 # faults included via the boomfs scenario's fault profile), so memory errors on the
 # retry/quarantine/re-replication paths surface even though the full chaos tier is too slow
 # for every push.
+# UBSan leg: rebuild with -DBOOM_SANITIZE=undefined (any report aborts) and run the engine,
+# evaluator, builtin and golden-program equivalence tests: aggregate sums and builtin
+# arithmetic must report integer overflow as an error, never wrap.
 # TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine and sim tests plus the
 # interner's concurrency cases. The simulator runs every engine on its one event loop; the
 # string interner is the one process-wide structure, so its sharded locks and thread-local
@@ -91,8 +95,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "==> ASan lint smoke (ctest -L lint)"
   (cd build-asan && ctest -L lint --output-on-failure -j "$JOBS")
 
-  echo "==> ASan engine smoke (range deltas over growing buffers, TTL expiry queue)"
-  (cd build-asan && ctest -R 'EngineTest|EvalTest|TableTest' --output-on-failure -j "$JOBS")
+  echo "==> ASan engine smoke (range deltas, TTL expiry queue, aggregate removal observers)"
+  (cd build-asan && ctest -R 'EngineTest|EvalTest|EvalExprTest|AggProperty|ClosureProperty|TableTest' \
+    --output-on-failure -j "$JOBS")
 
   echo "==> ASan data-plane smoke (interner, shared chunk payloads, copy-on-corrupt)"
   (cd build-asan && ctest -R 'ValueTest|InternerTest|FsTest|Integrity' \
@@ -105,6 +110,20 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "==> ASan chaos smoke (3 seeds x paxos, 3 seeds x boomfs)"
   ./build-asan/tools/chaos_explorer --scenario=paxos --seeds=3
   ./build-asan/tools/chaos_explorer --scenario=boomfs --seeds=3
+fi
+
+if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
+  echo "==> UBSan build"
+  cmake -B build-ubsan -S . -DBOOM_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "$JOBS" --target engine_test eval_test builtins_test \
+    program_equivalence_test
+
+  # eval_test's suites are EvalExprTest, AggProperty and ClosureProperty; no test is
+  # named EvalTest.
+  echo "==> UBSan engine smoke (aggregate sums, checked arithmetic, golden equivalence)"
+  (cd build-ubsan &&
+    ctest -R 'EngineTest|EvalTest|EvalExprTest|AggProperty|ClosureProperty|BuiltinsTest|ProgramEquivalence' \
+      --output-on-failure -j "$JOBS")
 fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then

@@ -14,7 +14,7 @@ still carry every section with the expected schema:
 
   current.micro_engine     {name: {ns_per_op, tuples_per_sec}}  engine rows, churn_probe
                            included
-  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A-C, E
+  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A and E
 
 Usage: check_bench.py --committed BENCH_engine.json --fresh fresh_micro.json
 Exit code 0 on pass, 1 on any failure (failures are listed on stderr).

@@ -32,6 +32,18 @@ Status Catalog::Declare(const TableDef& def) {
   return Status::Ok();
 }
 
+void Catalog::Truncate(size_t n) {
+  auto dropped = [n](const Table* t) { return t->id() >= n; };
+  ttl_tables_.erase(std::remove_if(ttl_tables_.begin(), ttl_tables_.end(), dropped),
+                    ttl_tables_.end());
+  event_tables_.erase(std::remove_if(event_tables_.begin(), event_tables_.end(), dropped),
+                      event_tables_.end());
+  while (by_id_.size() > n) {
+    tables_.erase(by_id_.back()->name());
+    by_id_.pop_back();
+  }
+}
+
 Table* Catalog::Find(const std::string& name) {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();

@@ -33,10 +33,14 @@ class Catalog {
   Table& Get(const std::string& name);
   const Table& Get(const std::string& name) const;
 
-  // Dense ids: tables are numbered 0..size()-1 in declaration order and never dropped, so an
-  // id (Table::id()) resolved at compile time stays valid.
+  // Dense ids: tables are numbered 0..size()-1 in declaration order, so an id (Table::id())
+  // resolved at compile time stays valid. Only the newest tables are ever dropped.
   size_t size() const { return by_id_.size(); }
   Table& ById(uint32_t id) { return *by_id_[id]; }
+
+  // Drops every table declared after the first `n` (ids >= n): the rollback of a failed
+  // install.
+  void Truncate(size_t n);
 
   std::vector<std::string> TableNames() const;
 

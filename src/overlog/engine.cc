@@ -13,52 +13,13 @@
 
 namespace boom {
 
-void Engine::AggAccum::Fold(const Value& v) {
-  ++count;
-  if (v.is_numeric()) {
-    if (v.is_int() && sum_is_int) {
-      sum_i += v.as_int();
-    } else {
-      if (sum_is_int) {
-        sum_d = static_cast<double>(sum_i);
-        sum_is_int = false;
-      }
-      sum_d += v.ToDouble();
-    }
-  }
-  if (!has_minmax) {
-    min = v;
-    max = v;
-    has_minmax = true;
+void Engine::AggAccum::Add(const Value& v, int64_t sign) {
+  count += sign;
+  if (v.is_int()) {
+    sum += sign * static_cast<__int128>(v.as_int());
   } else {
-    if (v < min) {
-      min = v;
-    }
-    if (max < v) {
-      max = v;
-    }
+    non_int += sign;
   }
-}
-
-Value Engine::AggAccum::Finish(AggKind kind) const {
-  switch (kind) {
-    case AggKind::kCount:
-      return Value(count);
-    case AggKind::kSum:
-      return sum_is_int ? Value(sum_i) : Value(sum_d);
-    case AggKind::kMin:
-      return min;
-    case AggKind::kMax:
-      return max;
-    case AggKind::kAvg: {
-      double total = sum_is_int ? static_cast<double>(sum_i) : sum_d;
-      return Value(count == 0 ? 0.0 : total / static_cast<double>(count));
-    }
-    case AggKind::kBottomK:
-    case AggKind::kNone:
-      break;
-  }
-  return Value();
 }
 
 Engine::Engine(EngineOptions options)
@@ -104,6 +65,7 @@ Status Engine::Install(std::vector<Program> programs) {
     }
   }
   const size_t installed = programs_.size();
+  const size_t declared = catalog_.size();
   Status status = Status::Ok();
   for (Program& program : programs) {
     status = Stage(program);
@@ -116,18 +78,17 @@ Status Engine::Install(std::vector<Program> programs) {
     status = Recompile();
   }
   if (!status.ok()) {
-    // compiled_ only changes on success, so dropping this call's programs is the rollback.
+    // Nothing has touched a row, a timer or a watch yet, and compiled_ only changes on
+    // success: dropping this call's programs and tables is the whole rollback.
     programs_.resize(installed);
     analyzer_reports_.resize(installed);
+    catalog_.Truncate(declared);
     return status;
   }
-  needs_seed_ = true;
-  // The seed tick replays every stored row as a delta; reset incremental accumulators so
-  // they are rebuilt once rather than double-counted.
-  for (AggState& state : agg_state_) {
-    state.accum.clear();
-    state.has_input_version = false;
+  for (size_t i = installed; i < programs_.size(); ++i) {
+    Load(programs_[i]);
   }
+  needs_seed_ = true;
   return Status::Ok();
 }
 
@@ -143,27 +104,19 @@ Status Engine::Stage(const Program& program) {
     BOOM_RETURN_IF_ERROR(catalog_.Declare(def));
   }
   for (const Fact& fact : program.facts) {
-    Table* table = catalog_.Find(fact.table);
+    const Table* table = catalog_.Find(fact.table);
     if (table == nullptr) {
       return InvalidArgument("fact references undeclared table " + fact.table);
     }
     if (table->def().arity() != fact.tuple.size()) {
       return InvalidArgument("fact arity mismatch for " + fact.table);
     }
-    table->Insert(fact.tuple);
   }
   for (const TimerDecl& timer : program.timers) {
     const Table* table = catalog_.Find(timer.name);
     if (table == nullptr || table->def().arity() != 1) {
       return InvalidArgument("timer " + timer.name + " has no one-column table");
     }
-    timers_.push_back(
-        TimerState{timer.name, table->id(), timer.period_ms, now_ms_ + timer.period_ms});
-  }
-  for (const std::string& w : program.watches) {
-    AddWatch(w, [](const std::string& table, const Tuple& tuple, bool inserted) {
-      BOOM_LOG(Info) << "watch " << (inserted ? "+" : "-") << table << tuple.ToString();
-    });
   }
   // Advisory static analysis: at engine level no-producer is only a warning (hosts may
   // Enqueue events from C++), and relations from other installed programs are external.
@@ -185,6 +138,21 @@ Status Engine::Stage(const Program& program) {
     analyzer_reports_.push_back(AnalyzeProgram(program, aopts));
   }
   return Status::Ok();
+}
+
+void Engine::Load(const Program& program) {
+  for (const Fact& fact : program.facts) {
+    catalog_.Get(fact.table).Insert(fact.tuple);
+  }
+  for (const TimerDecl& timer : program.timers) {
+    timers_.push_back(TimerState{timer.name, catalog_.Get(timer.name).id(), timer.period_ms,
+                                 now_ms_ + timer.period_ms});
+  }
+  for (const std::string& w : program.watches) {
+    AddWatch(w, [](const std::string& table, const Tuple& tuple, bool inserted) {
+      BOOM_LOG(Info) << "watch " << (inserted ? "+" : "-") << table << tuple.ToString();
+    });
+  }
 }
 
 Status Engine::Recompile() {
@@ -212,6 +180,20 @@ Status Engine::Recompile() {
   // installed rule keeps its id (and its aggregate state and profile) across recompiles.
   agg_state_.resize(compiled_.rules.size());
   rule_stats_.resize(compiled_.rules.size());
+  // Strata may be renumbered: re-file the rules that have marked groups.
+  agg_pending_.assign(compiled_.schedule.size(), {});
+  for (size_t i = 0; i < agg_state_.size(); ++i) {
+    if (!agg_state_[i].marked.empty()) {
+      agg_pending_[static_cast<size_t>(compiled_.rules[i].stratum)].push_back(i);
+    }
+  }
+  for (uint32_t id = 0; id < catalog_.size(); ++id) {
+    Table::RemovalObserver observer;
+    if (compiled_.agg_readers.count(id) > 0) {
+      observer = [this, id](const Tuple& row) { MarkRemoval(id, row); };
+    }
+    catalog_.ById(id).SetRemovalObserver(std::move(observer));
+  }
   return Status::Ok();
 }
 
@@ -255,7 +237,7 @@ std::string Engine::ExplainPlan() const {
     os << rule.program << ":" << rule.name << " (stratum " << rule.stratum << ")\n";
     os << variant_str(rule.full_variant, "full");
     for (const CompiledVariant& v : rule.variants) {
-      os << variant_str(v, "delta[" + v.driver_table + "]");
+      os << variant_str(v, (rule.has_agg ? "mark[" : "delta[") + v.driver_table + "]");
     }
   }
   return os.str();
@@ -400,6 +382,200 @@ bool Engine::ApplyLocalInsert(uint32_t id, const Tuple& tuple) {
   return true;
 }
 
+void Engine::MarkRemoval(uint32_t table_id, const Tuple& row) {
+  for (const AggReader& reader : compiled_.agg_readers.at(table_id)) {
+    const CompiledRule& rule = compiled_.rules[reader.rule];
+    AggState& state = agg_state_[reader.rule];
+    const bool was_clean = state.marked.empty();
+    if (reader.variant < 0) {
+      FoldBindings(reader.rule, &row, &row + 1, -1);
+    } else {
+      evaluator_.EvalAggBindings(rule, rule.variants[static_cast<size_t>(reader.variant)],
+                                 &row, &row + 1, &state.marked);
+    }
+    if (was_clean && !state.marked.empty()) {
+      agg_pending_[static_cast<size_t>(rule.stratum)].push_back(reader.rule);
+    }
+  }
+}
+
+void Engine::FoldBindings(size_t rule_idx, const Tuple* begin, const Tuple* end,
+                          int64_t sign) {
+  const CompiledRule& rule = compiled_.rules[rule_idx];
+  AggState& state = agg_state_[rule_idx];
+  const size_t first = state.marked.size();
+  agg_inputs_.clear();
+  evaluator_.EvalAggBindings(rule, rule.full_variant, begin, end, &state.marked, &agg_inputs_);
+  for (size_t b = 0; b < agg_inputs_.size(); ++b) {
+    std::vector<AggAccum>& accums = state.accum[state.marked[first + b]];
+    accums.resize(agg_inputs_[b].size());
+    for (size_t i = 0; i < accums.size(); ++i) {
+      accums[i].Add(agg_inputs_[b][i], sign);
+    }
+  }
+}
+
+bool Engine::PlusMinusRow(const CompiledRule& rule, const Tuple& key,
+                          const std::vector<AggAccum>& accums, Tuple* row,
+                          TickResult* result) {
+  std::vector<Value> vals;
+  vals.reserve(rule.head_args.size());
+  size_t key_idx = 0;
+  size_t agg_idx = 0;
+  for (const CompiledHeadArg& arg : rule.head_args) {
+    if (arg.agg == AggKind::kNone) {
+      vals.push_back(key[key_idx++]);
+      continue;
+    }
+    const AggAccum& accum = accums[agg_idx++];
+    if (arg.agg == AggKind::kCount) {
+      vals.push_back(Value(accum.count));
+      continue;
+    }
+    if (accum.non_int > 0) {
+      return false;
+    }
+    Result<Value> v = FinishIntegerAggregate(arg.agg, accum.sum, accum.count);
+    if (!v.ok()) {
+      result->errors.push_back(v.status().ToString());
+      return true;  // no row, as for a recomputed group whose sum overflows
+    }
+    vals.push_back(std::move(v).value());
+  }
+  *row = Tuple(std::move(vals));
+  return true;
+}
+
+void Engine::UpdateAggregate(size_t rule_idx, TickResult* result) {
+  const CompiledRule& rule = compiled_.rules[rule_idx];
+  AggState& state = agg_state_[rule_idx];
+  using ProfClock = std::chrono::steady_clock;
+  ProfClock::time_point t0;
+  if (profile_) {
+    t0 = ProfClock::now();
+  }
+
+  // Mark the groups of this tick's inserts (a ± rule also adds their bindings). The tables
+  // sit in lower strata, so their delta buffers are complete here. On the seed tick every
+  // stored row is an insert, and every group derived before is affected.
+  if (rule.agg.plus_minus) {
+    const uint32_t table_id = rule.full_variant.driver.table_id;
+    if (needs_seed_) {
+      // Rebuilt from the table: the seed's delta replay may still hold a row replaced since.
+      state.accum.clear();
+      const std::vector<Tuple> rows = catalog_.ById(table_id).Rows();
+      FoldBindings(rule_idx, rows.data(), rows.data() + rows.size(), +1);
+    } else {
+      const std::vector<Tuple>& rows = deltas_[table_id].rows;
+      FoldBindings(rule_idx, rows.data(), rows.data() + rows.size(), +1);
+    }
+  } else {
+    for (const CompiledVariant& variant : rule.variants) {
+      const std::vector<Tuple>& rows = deltas_[variant.driver.table_id].rows;
+      evaluator_.EvalAggBindings(rule, variant, rows.data(), rows.data() + rows.size(),
+                                 &state.marked);
+    }
+    if (needs_seed_ && rule.driverless) {
+      evaluator_.EvalAggBindings(rule, rule.full_variant, nullptr, nullptr, &state.marked);
+    }
+  }
+  if (needs_seed_) {
+    for (const auto& [key, row] : state.output) {
+      state.marked.push_back(key);
+    }
+  }
+  std::vector<Tuple> keys;
+  keys.swap(state.marked);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  // Each affected group's head row, empty when the group has no binding left.
+  std::vector<Tuple> rows(keys.size());
+  if (rule.agg.plus_minus) {
+    std::vector<size_t> inexact;  // groups holding non-integer sum<>/avg<> inputs
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto it = state.accum.find(keys[i]);
+      if (it == state.accum.end()) {
+        continue;
+      }
+      if (it->second[0].count == 0) {
+        state.accum.erase(it);
+      } else if (!PlusMinusRow(rule, keys[i], it->second, &rows[i], result)) {
+        inexact.push_back(i);
+      }
+    }
+    if (!inexact.empty()) {
+      std::vector<Tuple> subset;
+      std::vector<Tuple> recomputed;
+      for (size_t i : inexact) {
+        subset.push_back(keys[i]);
+      }
+      evaluator_.EvalAggGroups(rule, subset, &recomputed);
+      for (size_t j = 0; j < inexact.size(); ++j) {
+        rows[inexact[j]] = std::move(recomputed[j]);
+      }
+    }
+  } else {
+    evaluator_.EvalAggGroups(rule, keys, &rows);
+  }
+
+  // Derive the groups in group-key order, then retract those that emptied (or moved to
+  // another head key), each only while the head still holds this rule's row for it.
+  Table& head = catalog_.ById(rule.head_table_id);
+  std::vector<Tuple> old_rows(keys.size());
+  size_t emitted = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto out = state.output.find(keys[i]);
+    if (out != state.output.end()) {
+      old_rows[i] = out->second;
+    }
+    const Tuple& row = rows[i];
+    if (row.empty()) {
+      continue;
+    }
+    ++result->derivations;
+    ++emitted;
+    if (rule.head_has_location && row[0].is_string() &&
+        row[0].as_string() != options_.address) {
+      // Remote aggregate result: send when changed since last time.
+      Tuple group_key = head.KeyOf(row);
+      auto sent = state.last_sent.find(group_key);
+      if (sent == state.last_sent.end() || sent->second != row) {
+        state.last_sent[group_key] = row;
+        result->sends.push_back(Send{row[0].as_string(), rule.head_table, row});
+        ++stats_.messages_sent;
+      }
+      continue;
+    }
+    if (!rule.head_is_event) {  // an event row is gone by the rule's next update
+      state.output[keys[i]] = row;
+    }
+    ApplyLocalInsert(rule.head_table_id, row);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Tuple& old_row = old_rows[i];
+    if (old_row.empty()) {
+      continue;
+    }
+    if (rows[i].empty()) {
+      state.output.erase(keys[i]);
+    }
+    const Tuple old_key = head.KeyOf(old_row);
+    if (!rows[i].empty() && head.KeyOf(rows[i]) == old_key) {
+      continue;
+    }
+    const Tuple* current = head.LookupByKey(old_key);
+    if (current != nullptr && *current == old_row) {
+      head.EraseByKey(old_key);
+      FireWatches(rule.head_table, old_row, /*inserted=*/false);
+    }
+  }
+  if (profile_) {
+    RecordRuleEval(rule_idx, emitted,
+                   std::chrono::duration<double, std::micro>(ProfClock::now() - t0).count());
+  }
+}
+
 Engine::TickResult Engine::Tick(double now_ms) {
   BOOM_CHECK(now_ms >= now_ms_) << "time must be non-decreasing: " << now_ms << " < "
                                 << now_ms_;
@@ -494,114 +670,26 @@ Engine::TickResult Engine::Tick(double now_ms) {
   // Recompile; no per-tick regrouping).
   for (size_t stratum = 0; stratum < compiled_.schedule.size(); ++stratum) {
     const StratumSchedule& sched = compiled_.schedule[stratum];
-    // 4a. Aggregate rules: full recomputation + reconciliation against their prior output.
-    // Skipped entirely when none of the rule's input tables changed since the last
-    // recomputation — this is what keeps ever-growing audit tables from making every tick
-    // O(table size).
-    for (size_t rule_idx : sched.agg_rules) {
-      const CompiledRule* rule = &compiled_.rules[rule_idx];
-      AggState& state = agg_state_[rule_idx];
-      if (rule->incremental_agg && !options_.disable_incremental_aggregates) {
-        // Fold only this tick's inserts into running accumulators: O(delta), not O(table).
-        // The input table sits in a lower stratum, so its buffer is complete here.
-        const std::vector<Tuple>& delta = deltas_[rule->body_tables[0]->id()].rows;
-        if (delta.empty()) {
-          continue;
-        }
-        ProfClock::time_point t0;
-        if (profile_) {
-          t0 = ProfClock::now();
-        }
-        std::vector<std::pair<Tuple, std::vector<Value>>> bindings;
-        evaluator_.EvalAggBindings(*rule, delta.data(), delta.data() + delta.size(),
-                                   &bindings);
-        if (bindings.empty()) {
-          if (profile_) {
-            RecordRuleEval(rule_idx, 0, prof_elapsed_us(t0));
-          }
-          continue;
-        }
-        std::set<Tuple> changed;
-        for (auto& [key, inputs] : bindings) {
-          std::vector<AggAccum>& accums = state.accum[key];
-          accums.resize(inputs.size());
-          for (size_t i = 0; i < inputs.size(); ++i) {
-            accums[i].Fold(inputs[i]);
-          }
-          changed.insert(key);
-        }
-        for (const Tuple& key : changed) {
-          const std::vector<AggAccum>& accums = state.accum[key];
-          std::vector<Value> vals;
-          vals.reserve(rule->head_args.size());
-          size_t key_idx = 0;
-          size_t agg_idx = 0;
-          for (const CompiledHeadArg& arg : rule->head_args) {
-            if (arg.agg == AggKind::kNone) {
-              vals.push_back(key[key_idx++]);
-            } else {
-              vals.push_back(accums[agg_idx++].Finish(arg.agg));
-            }
-          }
-          ++result.derivations;
-          ApplyLocalInsert(rule->head_table_id, Tuple(std::move(vals)));
-        }
-        if (profile_) {
-          RecordRuleEval(rule_idx, changed.size(), prof_elapsed_us(t0));
-        }
-        continue;
-      }
-      uint64_t version_sum = 0;
-      for (const Table* table : rule->body_tables) {
-        version_sum += table->version();
-      }
-      if (!needs_seed_ && state.has_input_version && state.input_version_sum == version_sum &&
-          !options_.disable_aggregate_version_skip) {
-        continue;
-      }
-      state.has_input_version = true;
-      state.input_version_sum = version_sum;
-      ProfClock::time_point t0;
-      if (profile_) {
-        t0 = ProfClock::now();
-      }
-      std::vector<Tuple> head_rows;
-      evaluator_.EvalAggregate(*rule, &head_rows);
-      std::map<Tuple, Tuple> new_output;
-      Table& head_table = catalog_.ById(rule->head_table_id);
-      for (Tuple& row : head_rows) {
-        ++result.derivations;
-        if (rule->head_has_location && row[0].is_string() &&
-            row[0].as_string() != options_.address) {
-          // Remote aggregate result: send when changed since last time.
-          Tuple group_key = head_table.KeyOf(row);
-          auto it = state.last_sent.find(group_key);
-          if (it == state.last_sent.end() || it->second != row) {
-            state.last_sent[group_key] = row;
-            result.sends.push_back(Send{row[0].as_string(), rule->head_table, row});
-            ++stats_.messages_sent;
-          }
-          continue;
-        }
-        Tuple group_key = head_table.KeyOf(row);
-        new_output.emplace(std::move(group_key), row);
-        ApplyLocalInsert(rule->head_table_id, row);
-      }
-      // Retract groups this rule derived before but no longer does.
-      for (const auto& [key, old_row] : state.last_output) {
-        if (new_output.count(key) > 0) {
-          continue;
-        }
-        const Tuple* current = head_table.LookupByKey(key);
-        if (current != nullptr && *current == old_row) {
-          head_table.EraseByKey(key);
-          FireWatches(rule->head_table, old_row, /*inserted=*/false);
+    // 4a. Aggregate rules with affected groups: those a removal marked since their last
+    // update, those whose mark drivers (or ± body table) received rows this tick, and at
+    // seed time all of them. Program order, so derivation and watch order follow it.
+    agg_dirty_.clear();
+    if (needs_seed_) {
+      agg_dirty_ = sched.agg_rules;
+    } else {
+      agg_dirty_.swap(agg_pending_[stratum]);
+      for (uint32_t id : touched_) {
+        auto driven = sched.agg_rules_by_driver.find(id);
+        if (driven != sched.agg_rules_by_driver.end()) {
+          agg_dirty_.insert(agg_dirty_.end(), driven->second.begin(), driven->second.end());
         }
       }
-      state.last_output = std::move(new_output);
-      if (profile_) {
-        RecordRuleEval(rule_idx, head_rows.size(), prof_elapsed_us(t0));
-      }
+      std::sort(agg_dirty_.begin(), agg_dirty_.end());
+      agg_dirty_.erase(std::unique(agg_dirty_.begin(), agg_dirty_.end()), agg_dirty_.end());
+    }
+    agg_pending_[stratum].clear();
+    for (size_t rule_idx : agg_dirty_) {
+      UpdateAggregate(rule_idx, &result);
     }
 
     // 4b. Driverless rules run once, at seed time.

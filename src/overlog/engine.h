@@ -5,8 +5,12 @@
 //   0. expires soft-state (ttl) rows that were not refreshed,
 //   1. fires due timers (as events),
 //   2. applies the inbox (including @next derivations deferred from the previous step),
-//   3. runs each stratum to a semi-naive fixpoint (aggregates maintained incrementally where
-//      eligible, otherwise recomputed at stratum entry when their inputs changed),
+//   3. runs each stratum to a semi-naive fixpoint. At stratum entry, each aggregate rule with
+//      affected groups updates just those groups (see AggregatePlan): a group is affected
+//      when a row that entered or left a body table takes part in one of its bindings.
+//      Inserts are read from the delta buffers; a removal (delete rule, key replacement, TTL
+//      expiry, event clear, a lower aggregate's retraction) marks its groups through the
+//      table's removal observer, before the row leaves,
 //   4. applies deletions derived by `delete` rules,
 //   5. clears event tables and returns tuples destined for other nodes.
 //
@@ -48,9 +52,6 @@ struct EngineOptions {
   // f_unique_id() salt; defaults to a hash of the address. Replicated state machines that
   // replay an identical command log set the same salt on every replica so minted ids agree.
   std::optional<uint64_t> id_salt;
-  // Ablation switches (benchmarks only): fall back to full recomputation strategies.
-  bool disable_incremental_aggregates = false;
-  bool disable_aggregate_version_skip = false;
   // Ablation/validation switch: fixpoint rounds scan every rule in the stratum instead of
   // only those whose driver tables received deltas. Must derive identical fixpoints (see
   // engine_test DirtySchedulingMatchesExhaustive).
@@ -176,30 +177,26 @@ class Engine {
     double period_ms;
     double next_deadline;
   };
-  // Running accumulator for one aggregate position of one group (incremental aggregates).
+  // Running ± accumulator for one aggregate position of one group: the sums over every
+  // binding that entered minus every binding that left.
   struct AggAccum {
     int64_t count = 0;
-    bool sum_is_int = true;
-    int64_t sum_i = 0;
-    double sum_d = 0;
-    bool has_minmax = false;
-    Value min;
-    Value max;
+    __int128 sum = 0;     // of the integer inputs
+    int64_t non_int = 0;  // inputs that are not integers: sum<>/avg<> need a recompute
 
-    void Fold(const Value& v);
-    Value Finish(AggKind kind) const;
+    void Add(const Value& v, int64_t sign);
   };
 
   struct AggState {
-    // group key -> last derived head tuple (local groups only).
-    std::map<Tuple, Tuple> last_output;
+    // group key -> head row last derived for it (local, persistent heads only).
+    std::map<Tuple, Tuple> output;
     // last tuple sent per destination+group, to suppress duplicate sends.
     std::map<Tuple, Tuple> last_sent;
-    // Sum of input-table versions at the last recomputation (skip when unchanged).
-    bool has_input_version = false;
-    uint64_t input_version_sum = 0;
-    // Incremental path: group key -> one accumulator per aggregate head position.
+    // ± rules: group key -> one accumulator per aggregate head position.
     std::map<Tuple, std::vector<AggAccum>> accum;
+    // Affected group keys found since the rule's last update (unsorted, may repeat). A
+    // nonempty list puts the rule on agg_pending_ for its stratum.
+    std::vector<Tuple> marked;
   };
 
   // One table's rows inserted (new or replaced) this tick, in insertion order. A fixpoint
@@ -219,10 +216,27 @@ class Engine {
     double wall_us = 0;
   };
 
-  // Declares `program`'s tables, loads its facts, arms its timers and watches, and records
-  // its analyzer report; the caller appends it to programs_ and recompiles.
+  // Declares `program`'s tables, checks its facts and timers, and records its analyzer
+  // report; the caller appends it to programs_ and recompiles.
   Status Stage(const Program& program);
+  // Inserts a staged program's facts and arms its timers and watches, once its install
+  // can no longer fail.
+  void Load(const Program& program);
   Status Recompile();
+  // Table `table_id`'s removal observer: marks the groups `row` takes part in for every
+  // aggregate reading that table (a ± rule also subtracts the row's bindings).
+  void MarkRemoval(uint32_t table_id, const Tuple& row);
+  // Adds (sign +1) or subtracts (-1) the bindings of rows [begin, end) to a ± rule's
+  // accumulators and marks their groups.
+  void FoldBindings(size_t rule_idx, const Tuple* begin, const Tuple* end, int64_t sign);
+  // Step 4a for one dirty aggregate rule: marks the groups of this tick's inserts, derives
+  // every marked group's row in group-key order, then retracts emptied groups.
+  void UpdateAggregate(size_t rule_idx, TickResult* result);
+  // A ± group's head row from its accumulators (left empty when its sum<> overflows, with
+  // the error in `result`). False when a sum<>/avg<> holds non-integer inputs: the group
+  // must be recomputed.
+  bool PlusMinusRow(const CompiledRule& rule, const Tuple& key,
+                    const std::vector<AggAccum>& accums, Tuple* row, TickResult* result);
   void RecordRuleEval(size_t rule_idx, uint64_t tuples, double wall_us);
   void FireWatches(const std::string& table, const Tuple& tuple, bool inserted);
   // Appends `tuple` to table `id`'s delta buffer.
@@ -244,6 +258,8 @@ class Engine {
   std::vector<TimerState> timers_;
   std::map<std::string, std::vector<WatchFn>> watches_;
   std::vector<AggState> agg_state_;  // by rule id
+  // By stratum: aggregate rules with marked groups, due at that stratum's next entry.
+  std::vector<std::vector<size_t>> agg_pending_;
 
   std::vector<std::pair<uint32_t, Tuple>> inbox_;  // (table id, row)
   std::vector<DeltaBuffer> deltas_;   // by table id; emptied at the end of every tick
@@ -254,6 +270,8 @@ class Engine {
   std::vector<Derivation> derived_;
   std::vector<size_t> dirty_worklist_;
   std::vector<char> dirty_mark_;
+  std::vector<size_t> agg_dirty_;  // aggregate rules to update at this stratum's entry
+  std::vector<std::vector<Value>> agg_inputs_;  // FoldBindings scratch
 
   double now_ms_ = 0;
   bool needs_seed_ = false;

@@ -1,6 +1,7 @@
 #include "src/overlog/eval.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "src/base/logging.h"
@@ -240,45 +241,79 @@ void Evaluator::EvalFull(const CompiledRule& rule, std::vector<Derivation>* out)
   });
 }
 
-void Evaluator::EvalAggBindings(const CompiledRule& rule, const Tuple* begin,
-                                const Tuple* end,
-                                std::vector<std::pair<Tuple, std::vector<Value>>>* out) {
-  const CompiledVariant& variant = rule.full_variant;
-  std::vector<size_t> agg_positions;
-  for (size_t i = 0; i < rule.head_args.size(); ++i) {
-    if (rule.head_args[i].agg != AggKind::kNone) {
-      agg_positions.push_back(i);
-    }
+Result<Value> FinishIntegerAggregate(AggKind kind, __int128 sum, int64_t count) {
+  if (kind == AggKind::kAvg) {
+    return Value(static_cast<double>(sum) / static_cast<double>(count));
   }
+  if (sum < std::numeric_limits<int64_t>::min() || sum > std::numeric_limits<int64_t>::max()) {
+    return InvalidArgument("integer overflow in sum<> over " + std::to_string(count) +
+                           " inputs");
+  }
+  return Value(static_cast<int64_t>(sum));
+}
+
+bool Evaluator::GroupKeyOf(const CompiledRule& rule, const std::vector<Value>& slots,
+                           Tuple* key) {
+  std::vector<Value>& vals = head_scratch_;
+  vals.clear();
+  for (const CompiledHeadArg& arg : rule.head_args) {
+    if (arg.agg != AggKind::kNone) {
+      continue;
+    }
+    Result<Value> v = EvalExpr(arg.expr, slots, rule.slot_of, *builtins_, *ctx_);
+    if (!v.ok()) {
+      RecordError(v.status());
+      return false;
+    }
+    vals.push_back(std::move(v).value());
+  }
+  *key = Tuple(vals.data(), vals.size());
+  return true;
+}
+
+const std::vector<Value>* Evaluator::AggInputsOf(const CompiledRule& rule,
+                                                 const std::vector<Value>& slots) {
+  std::vector<Value>& vals = agg_input_scratch_;
+  vals.clear();
+  for (const CompiledHeadArg& arg : rule.head_args) {
+    if (arg.agg == AggKind::kNone) {
+      continue;
+    }
+    Result<Value> v = EvalExpr(arg.expr, slots, rule.slot_of, *builtins_, *ctx_);
+    if (!v.ok()) {
+      RecordError(v.status());
+      return nullptr;
+    }
+    vals.push_back(std::move(v).value());
+  }
+  return &vals;
+}
+
+void Evaluator::EvalAggBindings(const CompiledRule& rule, const CompiledVariant& variant,
+                                const Tuple* begin, const Tuple* end,
+                                std::vector<Tuple>* keys,
+                                std::vector<std::vector<Value>>* inputs) {
   EnsureProbeDepth(variant.steps.size());
   std::vector<Value>& slots = slots_scratch_;
   slots.assign(static_cast<size_t>(rule.num_slots), Value());
   auto emit = [&](const std::vector<Value>& bound) {
-    std::vector<Value> key_vals;
-    for (size_t i = 0; i < rule.head_args.size(); ++i) {
-      if (rule.head_args[i].agg != AggKind::kNone) {
-        continue;
-      }
-      Result<Value> v = EvalExpr(rule.head_args[i].expr, bound, rule.slot_of, *builtins_, *ctx_);
-      if (!v.ok()) {
-        RecordError(v.status());
+    Tuple key;
+    if (!GroupKeyOf(rule, bound, &key)) {
+      return;
+    }
+    if (inputs != nullptr) {
+      const std::vector<Value>* values = AggInputsOf(rule, bound);
+      if (values == nullptr) {
         return;
       }
-      key_vals.push_back(std::move(v).value());
+      inputs->push_back(*values);
     }
-    std::vector<Value> inputs;
-    inputs.reserve(agg_positions.size());
-    for (size_t pos : agg_positions) {
-      Result<Value> v =
-          EvalExpr(rule.head_args[pos].expr, bound, rule.slot_of, *builtins_, *ctx_);
-      if (!v.ok()) {
-        RecordError(v.status());
-        return;
-      }
-      inputs.push_back(std::move(v).value());
-    }
-    out->emplace_back(Tuple(std::move(key_vals)), std::move(inputs));
+    keys->push_back(std::move(key));
   };
+  if (variant.driver_table.empty()) {
+    JoinSteps(rule, variant, 0, &slots, emit);
+    return;
+  }
   for (const Tuple* row = begin; row != end; ++row) {
     if (BindAtomRow(variant.driver, *row, &slots)) {
       JoinSteps(rule, variant, 0, &slots, emit);
@@ -286,23 +321,13 @@ void Evaluator::EvalAggBindings(const CompiledRule& rule, const Tuple* begin,
   }
 }
 
-void Evaluator::EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head_rows) {
+template <typename DriveFn, typename InputsFn>
+void Evaluator::CollectBindings(const CompiledRule& rule, DriveFn&& drive,
+                                InputsFn&& inputs_of) {
   const CompiledVariant& variant = rule.full_variant;
-
-  // Positions of aggregate vs plain head args.
-  std::vector<size_t> agg_positions;
-  for (size_t i = 0; i < rule.head_args.size(); ++i) {
-    if (rule.head_args[i].agg != AggKind::kNone) {
-      agg_positions.push_back(i);
-    }
-  }
-
-  // group key -> accumulated agg inputs; dedup on full binding fingerprints. With a single
-  // positive atom, driver rows are already distinct, so no dedup is needed.
-  std::map<Tuple, AggGroup> groups;
-  std::unordered_map<size_t, std::vector<Tuple>> seen_fingerprints;  // hash -> tuples
+  // With a single positive atom, driver rows are already distinct, so no dedup is needed.
   const bool need_dedup = !rule.single_positive_atom;
-
+  std::unordered_map<size_t, std::vector<Tuple>> seen_fingerprints;  // hash -> tuples
   auto emit = [&](const std::vector<Value>& slots) {
     if (need_dedup) {
       // Fingerprint over all slots the planner guarantees bound.
@@ -320,112 +345,202 @@ void Evaluator::EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head
       }
       bucket.push_back(fingerprint);
     }
-
-    // Group key from plain head args.
-    std::vector<Value> key_vals;
-    for (size_t i = 0; i < rule.head_args.size(); ++i) {
-      if (rule.head_args[i].agg != AggKind::kNone) {
-        continue;
-      }
-      Result<Value> v = EvalExpr(rule.head_args[i].expr, slots, rule.slot_of, *builtins_, *ctx_);
-      if (!v.ok()) {
-        RecordError(v.status());
-        return;
-      }
-      key_vals.push_back(std::move(v).value());
+    const std::vector<Value>* values = AggInputsOf(rule, slots);
+    if (values == nullptr) {
+      return;
     }
-    AggGroup& group = groups[Tuple(std::move(key_vals))];
-    if (group.agg_inputs.empty()) {
-      group.agg_inputs.resize(agg_positions.size());
-    }
-    for (size_t j = 0; j < agg_positions.size(); ++j) {
-      const CompiledHeadArg& arg = rule.head_args[agg_positions[j]];
-      Result<Value> v = EvalExpr(arg.expr, slots, rule.slot_of, *builtins_, *ctx_);
-      if (!v.ok()) {
-        RecordError(v.status());
-        return;
+    if (std::vector<std::vector<Value>>* inputs = inputs_of(slots)) {
+      inputs->resize(values->size());
+      for (size_t j = 0; j < values->size(); ++j) {
+        (*inputs)[j].push_back((*values)[j]);
       }
-      group.agg_inputs[j].push_back(std::move(v).value());
     }
   };
-
   EnsureProbeDepth(variant.steps.size());
   std::vector<Value>& slots = slots_scratch_;
   slots.assign(static_cast<size_t>(rule.num_slots), Value());
   if (variant.driver_table.empty()) {
     JoinSteps(rule, variant, 0, &slots, emit);
-  } else {
-    catalog_->ById(variant.driver.table_id).ForEach([&](const Tuple& row) {
-      if (BindAtomRow(variant.driver, row, &slots)) {
-        JoinSteps(rule, variant, 0, &slots, emit);
-      }
-    });
+    return;
   }
+  drive([&](const Tuple& row) {
+    if (BindAtomRow(variant.driver, row, &slots)) {
+      JoinSteps(rule, variant, 0, &slots, emit);
+    }
+  });
+}
 
-  // Fold each group into a head tuple.
-  for (auto& [key, group] : groups) {
-    std::vector<Value> vals;
-    vals.reserve(rule.head_args.size());
-    size_t key_idx = 0;
-    size_t agg_idx = 0;
-    for (size_t i = 0; i < rule.head_args.size(); ++i) {
-      const CompiledHeadArg& arg = rule.head_args[i];
-      if (arg.agg == AggKind::kNone) {
-        vals.push_back(key[key_idx++]);
-        continue;
+std::map<Tuple, std::vector<std::vector<Value>>> Evaluator::GroupAllBindings(
+    const CompiledRule& rule, const std::vector<Tuple>* only) {
+  std::map<Tuple, std::vector<std::vector<Value>>> groups;
+  const uint32_t driver = rule.full_variant.driver.table_id;
+  CollectBindings(
+      rule, [&](auto&& visit) { catalog_->ById(driver).ForEach(visit); },
+      [&](const std::vector<Value>& slots) -> std::vector<std::vector<Value>>* {
+        Tuple key;
+        if (!GroupKeyOf(rule, slots, &key) ||
+            (only != nullptr && !std::binary_search(only->begin(), only->end(), key))) {
+          return nullptr;
+        }
+        return &groups[std::move(key)];
+      });
+  return groups;
+}
+
+Tuple Evaluator::FoldGroup(const CompiledRule& rule, const Tuple& key,
+                           std::vector<std::vector<Value>>& agg_inputs) {
+  std::vector<Value> vals;
+  vals.reserve(rule.head_args.size());
+  size_t key_idx = 0;
+  size_t agg_idx = 0;
+  for (const CompiledHeadArg& arg : rule.head_args) {
+    if (arg.agg == AggKind::kNone) {
+      vals.push_back(key[key_idx++]);
+      continue;
+    }
+    std::vector<Value>& inputs = agg_inputs[agg_idx++];
+    switch (arg.agg) {
+      case AggKind::kCount:
+        vals.push_back(Value(static_cast<int64_t>(inputs.size())));
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg: {
+        if (std::all_of(inputs.begin(), inputs.end(),
+                        [](const Value& v) { return v.is_int(); })) {
+          __int128 sum = 0;
+          for (const Value& v : inputs) {
+            sum += v.as_int();
+          }
+          Result<Value> v =
+              FinishIntegerAggregate(arg.agg, sum, static_cast<int64_t>(inputs.size()));
+          if (!v.ok()) {
+            RecordError(v.status());
+            return Tuple();
+          }
+          vals.push_back(std::move(v).value());
+          break;
+        }
+        double sum = 0;
+        for (const Value& v : inputs) {
+          sum += v.ToDouble();
+        }
+        vals.push_back(
+            Value(arg.agg == AggKind::kSum ? sum : sum / static_cast<double>(inputs.size())));
+        break;
       }
-      std::vector<Value>& inputs = group.agg_inputs[agg_idx++];
-      switch (arg.agg) {
-        case AggKind::kCount:
-          vals.push_back(Value(static_cast<int64_t>(inputs.size())));
-          break;
-        case AggKind::kSum: {
-          bool all_int = true;
-          for (const Value& v : inputs) {
-            all_int = all_int && v.is_int();
-          }
-          if (all_int) {
-            int64_t sum = 0;
-            for (const Value& v : inputs) {
-              sum += v.as_int();
-            }
-            vals.push_back(Value(sum));
-          } else {
-            double sum = 0;
-            for (const Value& v : inputs) {
-              sum += v.ToDouble();
-            }
-            vals.push_back(Value(sum));
-          }
-          break;
-        }
-        case AggKind::kMin:
-          vals.push_back(*std::min_element(inputs.begin(), inputs.end()));
-          break;
-        case AggKind::kMax:
-          vals.push_back(*std::max_element(inputs.begin(), inputs.end()));
-          break;
-        case AggKind::kAvg: {
-          double sum = 0;
-          for (const Value& v : inputs) {
-            sum += v.ToDouble();
-          }
-          vals.push_back(Value(inputs.empty() ? 0.0 : sum / static_cast<double>(inputs.size())));
-          break;
-        }
-        case AggKind::kBottomK: {
-          std::sort(inputs.begin(), inputs.end());
-          ValueList list;
-          size_t n = std::min(inputs.size(), static_cast<size_t>(arg.k));
-          list.assign(inputs.begin(), inputs.begin() + static_cast<long>(n));
-          vals.push_back(Value(std::move(list)));
-          break;
-        }
-        case AggKind::kNone:
-          break;
+      case AggKind::kMin:
+        vals.push_back(*std::min_element(inputs.begin(), inputs.end()));
+        break;
+      case AggKind::kMax:
+        vals.push_back(*std::max_element(inputs.begin(), inputs.end()));
+        break;
+      case AggKind::kBottomK: {
+        std::sort(inputs.begin(), inputs.end());
+        ValueList list;
+        size_t n = std::min(inputs.size(), static_cast<size_t>(arg.k));
+        list.assign(inputs.begin(), inputs.begin() + static_cast<long>(n));
+        vals.push_back(Value(std::move(list)));
+        break;
+      }
+      case AggKind::kNone:
+        break;
+    }
+  }
+  return Tuple(std::move(vals));
+}
+
+void Evaluator::EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head_rows) {
+  for (auto& [key, inputs] : GroupAllBindings(rule, nullptr)) {
+    Tuple row = FoldGroup(rule, key, inputs);
+    if (!row.empty()) {
+      head_rows->push_back(std::move(row));
+    }
+  }
+}
+
+void Evaluator::EvalAggGroups(const CompiledRule& rule, const std::vector<Tuple>& keys,
+                              std::vector<Tuple>* rows) {
+  rows->assign(keys.size(), Tuple());
+  const AggregatePlan& plan = rule.agg;
+  if (!plan.group_probe) {
+    // One pass over every binding serves all the groups.
+    std::map<Tuple, std::vector<std::vector<Value>>> groups = GroupAllBindings(rule, &keys);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto it = groups.find(keys[i]);
+      if (it != groups.end()) {
+        (*rows)[i] = FoldGroup(rule, keys[i], it->second);
       }
     }
-    head_rows->push_back(Tuple(std::move(vals)));
+    return;
+  }
+  const CompiledAtom& atom = rule.full_variant.driver;
+  Table& driver = catalog_->ById(atom.table_id);
+  if (driver.def().kind == TableKind::kEvent) {
+    // An event table holds only this tick's rows: one pass over it serves every group, and a
+    // row's group is known once the row binds.
+    std::vector<std::vector<std::vector<Value>>> inputs(keys.size());
+    const Tuple* row_now = nullptr;
+    const Tuple* keyed_row = nullptr;
+    std::vector<std::vector<Value>>* group = nullptr;
+    CollectBindings(
+        rule,
+        [&](auto&& visit) {
+          driver.ForEach([&](const Tuple& row) {
+            row_now = &row;
+            visit(row);
+          });
+        },
+        [&](const std::vector<Value>& slots) {
+          if (keyed_row != row_now) {
+            keyed_row = row_now;
+            group = nullptr;
+            Tuple key;
+            if (GroupKeyOf(rule, slots, &key)) {
+              auto it = std::lower_bound(keys.begin(), keys.end(), key);
+              if (it != keys.end() && *it == key) {
+                group = &inputs[static_cast<size_t>(it - keys.begin())];
+              }
+            }
+          }
+          return group;
+        });
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (!inputs[i].empty()) {
+        (*rows)[i] = FoldGroup(rule, keys[i], inputs[i]);
+      }
+    }
+    return;
+  }
+  // A group's bindings start at the driver rows its key selects, so each is the group's.
+  std::vector<Value>& probe_vals = group_probe_scratch_;
+  std::vector<std::vector<Value>> inputs;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    probe_vals.clear();
+    for (size_t c = 0; c < plan.group_cols.size(); ++c) {
+      const int pos = plan.group_key_pos[c];
+      probe_vals.push_back(pos < 0 ? atom.args[plan.group_cols[c]].constant
+                                   : keys[i][static_cast<size_t>(pos)]);
+    }
+    auto drive = [&](auto&& visit) {
+      if (plan.group_cols.empty()) {
+        driver.ForEach(visit);
+      } else if (plan.group_key_lookup) {
+        if (const Tuple* row = driver.ProbeKey(plan.group_cols, probe_vals.data())) {
+          visit(*row);
+        }
+      } else {
+        for (const Tuple* row : driver.Probe(
+                 plan.group_cols, TupleView::Of(probe_vals.data(), probe_vals.size()))) {
+          visit(*row);
+        }
+      }
+    };
+    inputs.clear();
+    CollectBindings(rule, drive,
+                    [&inputs](const std::vector<Value>&) { return &inputs; });
+    if (!inputs.empty()) {
+      (*rows)[i] = FoldGroup(rule, keys[i], inputs);
+    }
   }
 }
 

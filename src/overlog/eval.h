@@ -2,13 +2,15 @@
 //
 // The Engine drives semi-naive evaluation by calling EvalFromRows with each rule variant and
 // the range of its driver table's delta buffer that the current round consumes. Aggregate
-// rules are recomputed in full via EvalAggregate. Runtime expression errors (e.g. division by
-// zero) drop the offending binding and are recorded in errors() — they never abort a tick,
-// matching P2/JOL behaviour.
+// rules are maintained per affected group (see AggregatePlan): EvalAggBindings finds the
+// groups a changed row takes part in (and a ± rule's inputs), and EvalAggGroups recomputes
+// chosen groups. Runtime expression errors (e.g. division by zero) drop the offending
+// binding and are recorded in errors() — they never abort a tick, matching P2/JOL behaviour.
 
 #ifndef SRC_OVERLOG_EVAL_H_
 #define SRC_OVERLOG_EVAL_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,10 @@ Result<Value> EvalExpr(const Expr& expr, const std::vector<Value>& slots,
                        const std::unordered_map<std::string, int>& slot_of,
                        const BuiltinRegistry& builtins, const EvalContext& ctx);
 
+// The sum<> or avg<> of integer inputs totalling `sum` (exact in 128 bits) over `count`
+// bindings. A sum<> outside the 64-bit range is an "integer overflow" error, as for `+`.
+Result<Value> FinishIntegerAggregate(AggKind kind, __int128 sum, int64_t count);
+
 class Evaluator {
  public:
   Evaluator(Catalog* catalog, const BuiltinRegistry* builtins, const EvalContext* ctx)
@@ -49,13 +55,24 @@ class Evaluator {
   // rules the body is evaluated once.
   void EvalFull(const CompiledRule& rule, std::vector<Derivation>* out);
 
-  // Recomputes an aggregate rule from scratch: one head tuple per group.
+  // Recomputes an aggregate rule from scratch: one head tuple per group, in group-key
+  // order. The engine never does this; it is the reference its per-group maintenance is
+  // tested against.
   void EvalAggregate(const CompiledRule& rule, std::vector<Tuple>* head_rows);
 
-  // For incremental aggregates: evaluates the (single-atom) body over just the driver rows
-  // [begin, end) and returns one (group key, agg input values) pair per satisfied binding.
-  void EvalAggBindings(const CompiledRule& rule, const Tuple* begin, const Tuple* end,
-                       std::vector<std::pair<Tuple, std::vector<Value>>>* out);
+  // Recomputes the groups `keys` (sorted, distinct) of an aggregate rule: (*rows)[i] is
+  // keys[i]'s head row, or an empty Tuple when that group has no binding (or its sum
+  // overflows). Costs at most one whole-rule evaluation however many groups are asked for.
+  void EvalAggGroups(const CompiledRule& rule, const std::vector<Tuple>& keys,
+                     std::vector<Tuple>* rows);
+
+  // Drives `variant` of an aggregate rule (a mark variant, or the full variant) from the
+  // rows [begin, end) and appends each binding's group key to `keys` and, when `inputs` is
+  // not null, its aggregate inputs (one per aggregate head arg) to `inputs`. A variant with
+  // no driver (a body without positive atoms) is evaluated once.
+  void EvalAggBindings(const CompiledRule& rule, const CompiledVariant& variant,
+                       const Tuple* begin, const Tuple* end, std::vector<Tuple>* keys,
+                       std::vector<std::vector<Value>>* inputs = nullptr);
 
   const std::vector<std::string>& errors() const { return errors_; }
   void ClearErrors() { errors_.clear(); }
@@ -65,11 +82,27 @@ class Evaluator {
   static constexpr size_t kMaxErrors = 64;
 
  private:
-  struct AggGroup {
-    std::vector<std::vector<Value>> agg_inputs;  // one vector per aggregate head arg
-  };
-
   void RecordError(const Status& status);
+
+  // The group key (plain head args) of one binding; false after recording an error.
+  bool GroupKeyOf(const CompiledRule& rule, const std::vector<Value>& slots, Tuple* key);
+  // The aggregate head args' inputs of one binding (scratch, valid until the next call), or
+  // nullptr after recording an error.
+  const std::vector<Value>* AggInputsOf(const CompiledRule& rule,
+                                        const std::vector<Value>& slots);
+  // Evaluates the full variant from the driver rows `drive` visits (or once, without a
+  // driver), dropping duplicate bindings, and appends each binding's aggregate inputs to
+  // the per-position vectors inputs_of(slots) returns (skipped when it returns nullptr).
+  template <typename DriveFn, typename InputsFn>
+  void CollectBindings(const CompiledRule& rule, DriveFn&& drive, InputsFn&& inputs_of);
+  // Group key -> per-position aggregate inputs over the whole driver table, keeping only
+  // the keys in `only` (sorted) when it is not null.
+  std::map<Tuple, std::vector<std::vector<Value>>> GroupAllBindings(
+      const CompiledRule& rule, const std::vector<Tuple>* only);
+  // Folds one group's inputs into its head row; an empty Tuple (error recorded) when an
+  // integer sum overflows.
+  Tuple FoldGroup(const CompiledRule& rule, const Tuple& key,
+                  std::vector<std::vector<Value>>& agg_inputs);
 
   // Binds `row` against `atom` (driver position): checks constants and repeated variables,
   // writes first-binding slots. Returns false on mismatch.
@@ -106,6 +139,8 @@ class Evaluator {
   std::vector<std::vector<Value>> probe_scratch_;
   std::vector<Value> slots_scratch_;
   std::vector<Value> head_scratch_;
+  std::vector<Value> agg_input_scratch_;
+  std::vector<Value> group_probe_scratch_;
 };
 
 }  // namespace boom

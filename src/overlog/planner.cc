@@ -58,34 +58,25 @@ class RuleCompiler {
     std::vector<size_t> positive_atoms;
     for (size_t i = 0; i < rule_.body.size(); ++i) {
       const BodyTerm& t = rule_.body[i];
-      if (t.kind == BodyTerm::Kind::kAtom) {
-        out.body_tables.push_back(catalog_.Find(t.atom.table));
-        if (!t.atom.negated) {
-          positive_atoms.push_back(i);
-        }
+      if (t.kind == BodyTerm::Kind::kAtom && !t.atom.negated) {
+        positive_atoms.push_back(i);
       }
     }
     out.driverless = positive_atoms.empty();
     out.single_positive_atom = positive_atoms.size() == 1;
 
-    // Full ordering (seed evaluation and aggregate rules): drive from the first positive
-    // atom's full table contents, or no driver at all when the body has none.
-    {
-      Result<CompiledVariant> full =
-          OrderBody(out, positive_atoms.empty() ? -1 : static_cast<int>(positive_atoms[0]));
-      if (!full.ok()) {
-        return full.status();
-      }
-      out.full_variant = std::move(full).value();
-    }
-
-    if (!out.has_agg) {
+    if (out.has_agg) {
+      BOOM_RETURN_IF_ERROR(PlanAggregate(positive_atoms, &out));
+    } else {
+      // Full ordering (seed evaluation): drive from the first positive atom's full table
+      // contents, or no driver at all when the body has none.
+      BOOM_ASSIGN_OR_RETURN(
+          out.full_variant,
+          OrderBody(out, positive_atoms.empty() ? -1 : static_cast<int>(positive_atoms[0])));
       for (size_t atom_idx : positive_atoms) {
-        Result<CompiledVariant> variant = OrderBody(out, static_cast<int>(atom_idx));
-        if (!variant.ok()) {
-          return variant.status();
-        }
-        out.variants.push_back(std::move(variant).value());
+        BOOM_ASSIGN_OR_RETURN(CompiledVariant variant,
+                              OrderBody(out, static_cast<int>(atom_idx)));
+        out.variants.push_back(std::move(variant));
       }
     }
 
@@ -166,6 +157,128 @@ class RuleCompiler {
       ch.k = a.k;
       out->head_args.push_back(std::move(ch));
     }
+  }
+
+  // Builtins whose result changes from call to call. A ± aggregate re-evaluates a leaving
+  // row's binding, which must give what it gave when the row entered.
+  static bool CallsVaryingBuiltin(const Expr& e) {
+    if (e.kind == ExprKind::kCall &&
+        (e.fn == "f_now" || e.fn == "f_rand" || e.fn == "f_randint" || e.fn == "f_unique_id")) {
+      return true;
+    }
+    return std::any_of(e.args.begin(), e.args.end(), CallsVaryingBuiltin);
+  }
+
+  // True when every group-key variable is an argument of body atom `idx`.
+  bool AtomBindsGroupKey(size_t idx, const std::set<std::string>& group_vars) const {
+    std::set<std::string> atom_vars;
+    for (const Expr& arg : rule_.body[idx].atom.args) {
+      arg.CollectVars(&atom_vars);
+    }
+    return std::includes(atom_vars.begin(), atom_vars.end(), group_vars.begin(),
+                         group_vars.end());
+  }
+
+  // The mark variant driven by body atom `idx` (a negated atom drives it like a positive
+  // one): the bare atom when it binds the whole group key, else a join ordering from it.
+  Result<CompiledVariant> MarkVariant(const CompiledRule& out, size_t idx,
+                                      const std::set<std::string>& group_vars) const {
+    if (!AtomBindsGroupKey(idx, group_vars)) {
+      return OrderBody(out, static_cast<int>(idx));
+    }
+    Atom atom = rule_.body[idx].atom;
+    atom.negated = false;
+    CompiledVariant variant;
+    std::set<int> bound;
+    variant.driver_table = atom.table;
+    variant.driver = CompileAtom(atom, out, &bound, /*is_probe=*/false);
+    return variant;
+  }
+
+  // Fills out->full_variant, out->variants (mark variants) and out->agg; see AggregatePlan.
+  Status PlanAggregate(const std::vector<size_t>& positive_atoms, CompiledRule* out) const {
+    std::set<std::string> group_vars;
+    for (const HeadArg& a : rule_.head.args) {
+      if (a.agg == AggKind::kNone) {
+        a.expr.CollectVars(&group_vars);
+      }
+    }
+    int driver = positive_atoms.empty() ? -1 : static_cast<int>(positive_atoms[0]);
+    for (size_t idx : positive_atoms) {
+      if (AtomBindsGroupKey(idx, group_vars)) {
+        driver = static_cast<int>(idx);
+        break;
+      }
+    }
+    int event_atom = -1;  // the first positive event atom
+    for (size_t idx : positive_atoms) {
+      if (event_atom < 0 &&
+          catalog_.Find(rule_.body[idx].atom.table)->def().kind == TableKind::kEvent) {
+        event_atom = static_cast<int>(idx);
+      }
+    }
+    BOOM_ASSIGN_OR_RETURN(out->full_variant, OrderBody(*out, driver));
+
+    AggregatePlan& plan = out->agg;
+    plan.event_driven = event_atom >= 0;
+    size_t atoms = 0;
+    bool varying = false;
+    for (const BodyTerm& t : rule_.body) {
+      atoms += t.kind == BodyTerm::Kind::kAtom ? 1 : 0;
+      varying = varying || CallsVaryingBuiltin(t.condition) || CallsVaryingBuiltin(t.assign.expr);
+    }
+    bool additive = true;
+    for (const HeadArg& a : rule_.head.args) {
+      varying = varying || CallsVaryingBuiltin(a.expr);
+      additive = additive && (a.agg == AggKind::kNone || a.agg == AggKind::kCount ||
+                              a.agg == AggKind::kSum || a.agg == AggKind::kAvg);
+    }
+    plan.plus_minus = !plan.event_driven && atoms == 1 && positive_atoms.size() == 1 &&
+                      additive && !varying;
+
+    // Group recompute: map the group key onto the driver's columns.
+    if (driver >= 0 && AtomBindsGroupKey(static_cast<size_t>(driver), group_vars)) {
+      std::map<std::string, int> key_pos;  // group variable -> its first group-key position
+      int pos = 0;
+      plan.group_probe = true;
+      for (const HeadArg& a : rule_.head.args) {
+        if (a.agg != AggKind::kNone) {
+          continue;
+        }
+        if (a.expr.is_var()) {
+          key_pos.emplace(a.expr.var, pos);
+        } else if (!a.expr.is_const()) {
+          plan.group_probe = false;
+        }
+        ++pos;
+      }
+      const Atom& atom = rule_.body[static_cast<size_t>(driver)].atom;
+      for (size_t col = 0; col < atom.args.size() && plan.group_probe; ++col) {
+        if (atom.args[col].is_const()) {
+          plan.group_cols.push_back(col);
+          plan.group_key_pos.push_back(-1);
+        } else if (auto it = key_pos.find(atom.args[col].var); it != key_pos.end()) {
+          plan.group_cols.push_back(col);
+          plan.group_key_pos.push_back(it->second);
+          key_pos.erase(it);  // a repeated variable is checked when the row binds
+        }
+      }
+      plan.group_key_lookup = !plan.group_cols.empty() &&
+                              catalog_.Find(atom.table)->def().KeyCoveredBy(plan.group_cols);
+    }
+
+    if (plan.plus_minus) {
+      return Status::Ok();  // the full variant's bindings of each changed row do the marking
+    }
+    for (size_t i = 0; i < rule_.body.size(); ++i) {
+      const bool marks = plan.event_driven ? static_cast<int>(i) == event_atom
+                                           : rule_.body[i].kind == BodyTerm::Kind::kAtom;
+      if (marks) {
+        BOOM_ASSIGN_OR_RETURN(CompiledVariant variant, MarkVariant(*out, i, group_vars));
+        out->variants.push_back(std::move(variant));
+      }
+    }
+    return Status::Ok();
   }
 
   static void ResolveExprSlots(Expr* e, const CompiledRule& out) {
@@ -269,7 +382,15 @@ class RuleCompiler {
     if (driver_idx >= 0) {
       const Atom& driver_atom = rule_.body[static_cast<size_t>(driver_idx)].atom;
       variant.driver_table = driver_atom.table;
-      variant.driver = CompileAtom(driver_atom, out, &bound, /*is_probe=*/false);
+      if (driver_atom.negated) {
+        // An aggregate's mark variant driven by a negated atom binds its rows like a
+        // positive atom's.
+        Atom positive = driver_atom;
+        positive.negated = false;
+        variant.driver = CompileAtom(positive, out, &bound, /*is_probe=*/false);
+      } else {
+        variant.driver = CompileAtom(driver_atom, out, &bound, /*is_probe=*/false);
+      }
       used[static_cast<size_t>(driver_idx)] = true;
     }
 
@@ -480,38 +601,6 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
     out.rules.push_back(std::move(compiled).value());
   }
 
-  // --- incremental-aggregate eligibility ---
-  // A table is insert-only when no delete rule targets it and no aggregate rule derives it
-  // (aggregate reconciliation can retract rows).
-  {
-    std::set<uint32_t> mutated;
-    for (const CompiledRule& cr : out.rules) {
-      if (cr.is_delete || cr.has_agg) {
-        mutated.insert(cr.head_table_id);
-      }
-    }
-    for (CompiledRule& cr : out.rules) {
-      if (!cr.has_agg || !cr.single_positive_atom || cr.body_tables.size() != 1 ||
-          cr.head_has_location) {
-        continue;
-      }
-      const Table* driver = cr.body_tables[0];
-      if (driver->def().kind != TableKind::kTable ||
-          driver->def().ttl_ms > 0 ||  // soft-state rows expire: not insert-only
-          driver->def().EffectiveKey().size() != driver->def().arity() ||
-          mutated.count(driver->id()) > 0) {
-        continue;
-      }
-      bool kinds_ok = true;
-      for (const CompiledHeadArg& arg : cr.head_args) {
-        if (arg.agg == AggKind::kBottomK) {
-          kinds_ok = false;
-        }
-      }
-      cr.incremental_agg = kinds_ok;
-    }
-  }
-
   // --- stratification ---
   // Dependency edges body_table -> head_table; an edge is "negative" when the body atom is
   // negated or the rule aggregates. Delete rules impose no derivation edges (deletions apply
@@ -603,13 +692,31 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
   out.num_strata = max_stratum + 1;
 
   // Build the per-stratum schedule (see StratumSchedule): rules grouped by role, plus the
-  // driver-table index that lets the engine's fixpoint visit only dirty rules per round.
+  // driver-table indexes that let the engine visit only dirty rules, and the tables whose
+  // removals aggregate rules must see.
   out.schedule.assign(static_cast<size_t>(out.num_strata), StratumSchedule{});
   for (size_t i = 0; i < out.rules.size(); ++i) {
     const CompiledRule& cr = out.rules[i];
     StratumSchedule& sched = out.schedule[static_cast<size_t>(cr.stratum)];
     if (cr.has_agg) {
       sched.agg_rules.push_back(i);
+      auto reads = [&](uint32_t table_id, int variant) {
+        std::vector<size_t>& driven = sched.agg_rules_by_driver[table_id];
+        if (driven.empty() || driven.back() != i) {
+          driven.push_back(i);
+        }
+        // The event clear only removes bindings of an event-driven rule, and when its head is
+        // an event too, the rows those bindings derived are gone by then.
+        if (!(cr.agg.event_driven && cr.head_is_event)) {
+          out.agg_readers[table_id].push_back(AggReader{i, variant});
+        }
+      };
+      if (cr.agg.plus_minus) {
+        reads(cr.full_variant.driver.table_id, -1);
+      }
+      for (size_t v = 0; v < cr.variants.size(); ++v) {
+        reads(cr.variants[v].driver.table_id, static_cast<int>(v));
+      }
       continue;
     }
     if (cr.driverless) {

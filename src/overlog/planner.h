@@ -9,6 +9,7 @@
 //     positive atom so the evaluator can drive each variant from that atom's delta
 //   - stratification: negation and aggregation edges must not appear in dependency cycles;
 //     each rule is assigned the stratum of its head table
+//   - aggregate plans: how each aggregate rule finds and updates its affected groups
 
 #ifndef SRC_OVERLOG_PLANNER_H_
 #define SRC_OVERLOG_PLANNER_H_
@@ -52,8 +53,8 @@ struct CompiledStep {
   Expr condition;          // kCondition
 };
 
-// One join ordering. driver_table names the delta relation this variant is driven by
-// (empty for the "full" ordering used at seed time and by aggregate rules).
+// One join ordering. driver_table names the relation whose rows drive this variant (empty
+// only for the full ordering of a body without positive atoms).
 struct CompiledVariant {
   std::string driver_table;
   CompiledAtom driver;              // meaningful when driver_table is nonempty
@@ -65,6 +66,30 @@ struct CompiledHeadArg {
   Expr expr;
   AggKind agg = AggKind::kNone;
   int64_t k = 0;
+};
+
+// How an aggregate rule keeps its groups current (Engine::Tick step 4a). A group is affected
+// when a row that entered or left a body table takes part in one of its bindings; only
+// affected groups are updated, so no step re-derives every group of a rule.
+struct AggregatePlan {
+  // One positive body atom over a persistent table, and only count/sum/avg: each group keeps
+  // running accumulators that the bindings of every entering row add to and those of every
+  // leaving row subtract from (integer inputs only; a group holding other inputs is
+  // recomputed). Otherwise each affected group is recomputed with its key bound.
+  bool plus_minus = false;
+  // The body has a positive event atom. Every binding then includes one of its rows, all
+  // inserted this tick and all removed by the event clear, so that atom alone marks groups
+  // and it is the rule's only mark variant.
+  bool event_driven = false;
+  // Group recompute probes full_variant.driver on group_cols: entry i takes its value from
+  // group key position group_key_pos[i], or from the atom's constant when that is -1.
+  // group_probe is false when a group-key expression is not a constant or a variable of the
+  // driver; then one pass over every binding serves all affected groups. An event-table
+  // driver (only this tick's rows) is scanned once for all groups instead of probed.
+  bool group_probe = false;
+  std::vector<size_t> group_cols;
+  std::vector<int> group_key_pos;
+  bool group_key_lookup = false;  // group_cols cover the driver table's key
 };
 
 struct CompiledRule {
@@ -84,30 +109,28 @@ struct CompiledRule {
   std::unordered_map<std::string, int> slot_of;  // variable name -> slot
   int num_slots = 0;
 
-  // Semi-naive variants, one per positive body atom (empty for aggregate rules).
+  // Semi-naive variants, one per positive body atom. An aggregate rule has mark variants
+  // instead: each maps a changed row of its driver to the group keys of the bindings the
+  // row takes part in. A driver atom that binds every group-key variable needs no join, so
+  // its mark variant has no steps.
   std::vector<CompiledVariant> variants;
-  // Ordering that scans the first atom fully; used at seed time and for aggregates.
+  // Ordering that scans one positive atom fully; used at seed time and by aggregate rules,
+  // whose full variant is driven by the first positive atom binding every group-key
+  // variable, so a group can be recomputed by probing the driver with its key.
   CompiledVariant full_variant;
   // True when the body has no positive atoms: evaluated only at seed time.
   bool driverless = false;
-  // All tables referenced in the body (positive and negated), in body order; lets the
-  // engine skip aggregate recomputation when none of them changed. Catalog tables never
-  // move or get dropped, so the pointers stay valid.
-  std::vector<const Table*> body_tables;
   // Exactly one positive atom in the body: aggregate bindings are already distinct per
   // driver row, so the evaluator can skip fingerprint deduplication.
   bool single_positive_atom = false;
-  // Aggregate rule whose results can be folded incrementally from driver-table inserts
-  // (single-atom body over an insert-only persistent set-semantics table; no bottomk, no
-  // remote head). Keeps audit-style rollups O(delta) instead of O(table) per tick.
-  bool incremental_agg = false;
+  AggregatePlan agg;  // aggregate rules only
 };
 
 // Per-stratum evaluation schedule, built once at compile time so Engine::Tick neither
 // regroups rules per tick nor scans every rule per fixpoint round.
 struct StratumSchedule {
   // Indexes into CompiledProgram::rules, program order throughout.
-  std::vector<size_t> agg_rules;    // aggregate rules, reconciled at stratum entry
+  std::vector<size_t> agg_rules;    // aggregate rules, updated at stratum entry
   std::vector<size_t> seed_rules;   // driverless non-aggregate rules (seed tick only)
   std::vector<size_t> delta_rules;  // semi-naive rules
   // Driver table id -> ascending positions in delta_rules having a variant driven by it. A
@@ -116,12 +139,25 @@ struct StratumSchedule {
   // exhaustive every-rule loop used, so derivation order (and with it send order, watch
   // order, and chaos schedules) is unchanged.
   std::unordered_map<uint32_t, std::vector<size_t>> delta_rules_by_driver;
+  // Table id -> ascending rule ids in agg_rules whose groups that table's inserts can mark
+  // (the ± body table, or a mark variant's driver).
+  std::unordered_map<uint32_t, std::vector<size_t>> agg_rules_by_driver;
+};
+
+// An aggregate rule that must see the rows leaving a table: `variant` indexes its mark
+// variants, or is -1 for a ± rule's body table.
+struct AggReader {
+  size_t rule = 0;
+  int variant = -1;
 };
 
 struct CompiledProgram {
   std::vector<CompiledRule> rules;
   int num_strata = 1;
   std::vector<StratumSchedule> schedule;  // one entry per stratum
+  // Table id -> aggregate rules whose groups a row leaving that table can affect, in rule
+  // order.
+  std::unordered_map<uint32_t, std::vector<AggReader>> agg_readers;
 };
 
 // Compiles `rules` (typically the union of all installed programs) against tables already

@@ -60,6 +60,9 @@ Table::InsertOutcome Table::Insert(Tuple tuple, double now_ms) {
   if (it->second == tuple) {
     return InsertOutcome::kUnchanged;
   }
+  if (on_remove_) {
+    on_remove_(it->second);
+  }
   // The node address is stable: re-index the row under its new payload.
   RemoveRowFromIndexes(&it->second);
   it->second = std::move(tuple);
@@ -73,6 +76,9 @@ bool Table::Erase(const Tuple& tuple) {
   if (it == rows_.end() || it->second != tuple) {
     return false;
   }
+  if (on_remove_) {
+    on_remove_(it->second);
+  }
   RemoveRowFromIndexes(&it->second);
   rows_.erase(it);
   ++version_;
@@ -83,6 +89,9 @@ bool Table::EraseByKey(const Tuple& key) {
   auto it = rows_.find(key);
   if (it == rows_.end()) {
     return false;
+  }
+  if (on_remove_) {
+    on_remove_(it->second);
   }
   RemoveRowFromIndexes(&it->second);
   rows_.erase(it);
@@ -224,6 +233,11 @@ void Table::AssertProbeFresh(uint64_t generation) const {
 
 void Table::Clear() {
   if (!rows_.empty()) {
+    if (on_remove_) {
+      for (const auto& [key, row] : rows_) {
+        on_remove_(row);
+      }
+    }
     rows_.clear();
     row_time_.clear();
     expiry_queue_.clear();
@@ -247,6 +261,9 @@ std::vector<Tuple> Table::ExpireOlderThan(double cutoff_ms) {
     row_time_.erase(time_it);
     auto row_it = rows_.find(key);
     if (row_it != rows_.end()) {
+      if (on_remove_) {
+        on_remove_(row_it->second);
+      }
       expired.push_back(row_it->second);
       RemoveRowFromIndexes(&row_it->second);
       rows_.erase(row_it);

@@ -14,11 +14,16 @@
 //     order they entered the index; removing a row keeps the survivors' relative order.
 //
 // Event tables hold tuples for a single engine timestep; the Engine clears them between ticks.
+//
+// A removal observer, when set, sees every row just before it leaves: Erase/EraseByKey, key
+// replacement in Insert, TTL expiry and Clear. The engine uses it to find the aggregate
+// groups a removed row took part in, against the state that still holds the row.
 
 #ifndef SRC_OVERLOG_TABLE_H_
 #define SRC_OVERLOG_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -67,7 +72,6 @@ class Table {
   uint32_t id() const { return id_; }
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
-  uint64_t version() const { return version_; }
 
   enum class InsertOutcome {
     kInserted,   // new key
@@ -128,6 +132,11 @@ class Table {
   // order. O(1) when no stamp is older than the cutoff, O(expired) otherwise (amortized).
   std::vector<Tuple> ExpireOlderThan(double cutoff_ms);
 
+  // Called with each row just before it leaves the table (see the file comment). The
+  // observer must not mutate this table. Pass nullptr to remove it.
+  using RemovalObserver = std::function<void(const Tuple& row)>;
+  void SetRemovalObserver(RemovalObserver observer) { on_remove_ = std::move(observer); }
+
   // Extracts the primary key projection from a full row.
   Tuple KeyOf(const Tuple& tuple) const { return tuple.Project(effective_key_); }
 
@@ -171,6 +180,7 @@ class Table {
   std::vector<Value> project_scratch_;
   uint64_t probes_ = 0;
   uint64_t probe_hits_ = 0;
+  RemovalObserver on_remove_;
 };
 
 }  // namespace boom

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +25,25 @@ std::set<Tuple> RowSet(const Engine& e, const std::string& table) {
   std::set<Tuple> out;
   t->ForEach([&out](const Tuple& row) { out.insert(row); });
   return out;
+}
+
+// The reference every aggregate head must match at a quiescent tick: each aggregate rule
+// evaluated from scratch over the engine's current tables (Evaluator::EvalAggregate).
+void ExpectAggregatesMatchRecompute(Engine& e, const std::string& when) {
+  EvalContext ctx;
+  ctx.now_ms = e.now();
+  ctx.local_address = e.address();
+  Evaluator reference(&e.catalog(), &e.builtins(), &ctx);
+  for (const CompiledRule& rule : e.compiled().rules) {
+    if (!rule.has_agg) {
+      continue;
+    }
+    std::vector<Tuple> rows;
+    reference.EvalAggregate(rule, &rows);
+    EXPECT_EQ(RowSet(e, rule.head_table), std::set<Tuple>(rows.begin(), rows.end()))
+        << when << ": rule " << rule.name;
+  }
+  EXPECT_TRUE(reference.errors().empty()) << when;
 }
 
 TEST(EngineTest, FactsAndSeedDerivation) {
@@ -514,33 +535,335 @@ TEST(EngineTest, TtlOnEventRejected) {
   EXPECT_FALSE(e.InstallSource("program t; event x(A) ttl(100);").ok());
 }
 
-// Dirty-rule scheduling is a pure optimization: fixpoint rounds that skip rules whose driver
-// tables received no deltas must reach the exact same fixpoint as exhaustively scanning every
-// rule. Runs the olg/shortest_paths.olg program (recursive join + min aggregate) on two
-// engines — one with the optimization disabled — and compares every table tuple-for-tuple,
-// both at the seeded fixpoint and after incremental edge insertions.
 TEST(EngineTest, SeedTickCountsInboxRowsOnce) {
   // A row applied from the inbox on the seed tick is stored and already a delta; the seed
-  // replay must not queue it a second time, or the incremental count folds it twice.
-  const char* kProgram = R"(
+  // replay must not queue it a second time, or the ± count folds it twice.
+  Engine e(MakeEngine());
+  ASSERT_TRUE(e.InstallSource(R"(
     program counts;
     table a(K, V);
     table ca(K, N) keys(0);
     a1 ca(K, count<V>) :- a(K, V);
-  )";
-  EngineOptions full_opts = MakeEngine();
-  full_opts.disable_incremental_aggregates = true;
-  Engine incremental(MakeEngine());
-  Engine full(full_opts);
-  for (Engine* e : {&incremental, &full}) {
-    ASSERT_TRUE(e->InstallSource(kProgram).ok());
-    ASSERT_TRUE(e->Enqueue("a", Tuple{Value(1), Value(10)}).ok());
-    e->Tick(0);
-    EXPECT_EQ(RowSet(*e, "ca"), (std::set<Tuple>{Tuple{Value(1), Value(1)}}));
-    ASSERT_TRUE(e->Enqueue("a", Tuple{Value(1), Value(20)}).ok());
-    e->Tick(1);
-    EXPECT_EQ(RowSet(*e, "ca"), (std::set<Tuple>{Tuple{Value(1), Value(2)}}));
+  )").ok());
+  ASSERT_TRUE(e.Enqueue("a", Tuple{Value(1), Value(10)}).ok());
+  e.Tick(0);
+  EXPECT_EQ(RowSet(e, "ca"), (std::set<Tuple>{Tuple{Value(1), Value(1)}}));
+  ExpectAggregatesMatchRecompute(e, "seed tick");
+  ASSERT_TRUE(e.Enqueue("a", Tuple{Value(1), Value(20)}).ok());
+  e.Tick(1);
+  EXPECT_EQ(RowSet(e, "ca"), (std::set<Tuple>{Tuple{Value(1), Value(2)}}));
+  ExpectAggregatesMatchRecompute(e, "next tick");
+}
+
+// Each removal kind below runs against a ± rule (one atom: the body table's rows are added
+// and subtracted) and an rr1-shaped join (the affected groups are recomputed with their key
+// bound). After every quiescent tick each head must equal a from-scratch evaluation.
+struct RemovalHarness {
+  // Installs `body` after a `fchunk` table holding chunks 1-3, the join partner.
+  void Install(const std::string& body) {
+    ASSERT_TRUE(
+        engine.InstallSource("program removals; table fchunk(Ch, F) keys(0);\n" + body).ok());
+    for (int ch = 1; ch <= 3; ++ch) {
+      ASSERT_TRUE(engine.Enqueue("fchunk", Tuple{Value(ch), Value(100)}).ok());
+    }
   }
+  void Enqueue(const std::string& table, std::vector<Value> vals) {
+    ASSERT_TRUE(engine.Enqueue(table, Tuple(std::move(vals))).ok());
+  }
+  // One tick with the queued input, then a quiescent one.
+  void Step(const std::string& when) {
+    Engine::TickResult r = engine.Tick(now);
+    EXPECT_TRUE(r.errors.empty()) << when;
+    r = engine.Tick(now + 1);
+    EXPECT_TRUE(r.errors.empty()) << when;
+    now += 10;
+    ExpectAggregatesMatchRecompute(engine, when);
+  }
+
+  Engine engine{MakeEngine()};
+  double now = 0;
+};
+
+TEST(EngineTest, AggregateRemovalByDeleteRule) {
+  RemovalHarness h;
+  h.Install(R"(
+    table hb(Dn, Ch);
+    table cnt(Ch, N) keys(0);
+    table rep(Ch, N) keys(0);
+    event drop(Dn, Ch);
+    s1 cnt(Ch, count<Dn>) :- hb(Dn, Ch);
+    j1 rep(Ch, count<Dn>) :- fchunk(Ch, _), hb(Dn, Ch);
+    d1 delete hb(Dn, Ch) :- drop(Dn, Ch), hb(Dn, Ch);
+  )");
+  for (const char* dn : {"a", "b", "c"}) {
+    h.Enqueue("hb", {Value(dn), Value(1)});
+    h.Enqueue("hb", {Value(dn), Value(2)});
+  }
+  h.Step("inserts");
+  EXPECT_EQ(RowSet(h.engine, "rep").count(Tuple{Value(1), Value(3)}), 1u);
+  h.Enqueue("drop", {Value("a"), Value(1)});
+  h.Enqueue("drop", {Value("b"), Value(1)});
+  h.Step("two deletes");
+  EXPECT_EQ(RowSet(h.engine, "rep").count(Tuple{Value(1), Value(1)}), 1u);
+  h.Enqueue("drop", {Value("c"), Value(1)});
+  h.Step("group emptied");
+  EXPECT_EQ(h.engine.catalog().Get("cnt").LookupByKey(Tuple{Value(1)}), nullptr);
+  EXPECT_EQ(h.engine.catalog().Get("rep").LookupByKey(Tuple{Value(1)}), nullptr);
+  h.Enqueue("hb", {Value("a"), Value(1)});
+  h.Step("group back");
+}
+
+TEST(EngineTest, AggregateRemovalByKeyReplacement) {
+  RemovalHarness h;
+  h.Install(R"(
+    table loc(Dn, Ch, Status) keys(0, 1);
+    table cnt(Ch, N) keys(0);
+    table total(Ch, S) keys(0);
+    table rep(Ch, N) keys(0);
+    s1 cnt(Ch, count<Dn>) :- loc(Dn, Ch, "ok");
+    s2 total(Ch, sum<Status>) :- loc(_, Ch, Status);
+    j1 rep(Ch, count<Dn>) :- fchunk(Ch, _), loc(Dn, Ch, "ok");
+  )");
+  h.Enqueue("loc", {Value("a"), Value(1), Value("ok")});
+  h.Enqueue("loc", {Value("b"), Value(1), Value("ok")});
+  h.Enqueue("loc", {Value("c"), Value(2), Value(5)});
+  h.Step("inserts");
+  // Replace a row in place, twice within one tick, and back again in the next.
+  h.Enqueue("loc", {Value("a"), Value(1), Value("bad")});
+  h.Enqueue("loc", {Value("c"), Value(2), Value(7)});
+  h.Enqueue("loc", {Value("c"), Value(2), Value(9)});
+  h.Step("replacements");
+  EXPECT_EQ(RowSet(h.engine, "cnt").count(Tuple{Value(1), Value(1)}), 1u);
+  EXPECT_EQ(RowSet(h.engine, "total").count(Tuple{Value(2), Value(9)}), 1u);
+  h.Enqueue("loc", {Value("a"), Value(1), Value("ok")});
+  h.Enqueue("loc", {Value("b"), Value(1), Value("bad")});
+  h.Step("swap back");
+}
+
+TEST(EngineTest, AggregateRemovalByTtlExpiry) {
+  RemovalHarness h;
+  h.Install(R"(
+    table lease(Dn, Ch) ttl(50);
+    table cnt(Ch, N) keys(0);
+    table rep(Ch, N) keys(0);
+    s1 cnt(Ch, count<Dn>) :- lease(Dn, Ch);
+    j1 rep(Ch, count<Dn>) :- fchunk(Ch, _), lease(Dn, Ch);
+  )");
+  h.Enqueue("lease", {Value("a"), Value(1)});
+  h.Enqueue("lease", {Value("b"), Value(1)});
+  h.Step("inserts at 0");
+  h.Enqueue("lease", {Value("a"), Value(1)});  // refresh a only
+  h.Enqueue("lease", {Value("c"), Value(2)});
+  h.Step("refresh at 10");
+  h.Step("b expires at 20..70");
+  h.Step("idle");
+  h.Step("idle");
+  h.Step("idle");
+  h.Step("everything expired");
+  EXPECT_TRUE(RowSet(h.engine, "cnt").empty());
+  EXPECT_TRUE(RowSet(h.engine, "rep").empty());
+}
+
+TEST(EngineTest, AggregateRemovalByEventClear) {
+  RemovalHarness h;
+  h.Install(R"(
+    event report(Dn, Ch);
+    table dead(Dn);
+    table cnt(Ch, N) keys(0);
+    table rep(Ch, N) keys(0);
+    table live(Ch, N) keys(0);
+    s1 cnt(Ch, count<Dn>) :- report(Dn, Ch);
+    j1 rep(Ch, count<Dn>) :- fchunk(Ch, _), report(Dn, Ch);
+    n1 live(Ch, count<Dn>) :- fchunk(Ch, _), dead(Dn), notin report(Dn, Ch);
+  )");
+  h.Enqueue("dead", {Value("x")});
+  h.Enqueue("report", {Value("a"), Value(1)});
+  h.Enqueue("report", {Value("x"), Value(1)});
+  h.Step("one tick of reports");
+  EXPECT_TRUE(RowSet(h.engine, "cnt").empty());
+  h.Enqueue("report", {Value("x"), Value(2)});
+  ASSERT_TRUE(h.engine.Tick(h.now).errors.empty());
+  EXPECT_EQ(RowSet(h.engine, "cnt"), (std::set<Tuple>{Tuple{Value(2), Value(1)}}));
+  h.now += 10;
+  h.Step("cleared");
+}
+
+TEST(EngineTest, AggregateRemovalByLowerRetraction) {
+  RemovalHarness h;
+  h.Install(R"(
+    table hb(Dn, Ch);
+    event drop(Dn, Ch);
+    table cnt(Ch, N) keys(0);
+    table hist(N, M) keys(0);
+    table weight(Ch, S) keys(0);
+    s0 cnt(Ch, count<Dn>) :- hb(Dn, Ch);
+    s1 hist(N, count<Ch>) :- cnt(Ch, N);
+    j1 weight(Ch, sum<N>) :- fchunk(Ch, _), cnt(Ch, N);
+    d1 delete hb(Dn, Ch) :- drop(Dn, Ch), hb(Dn, Ch);
+  )");
+  h.Enqueue("hb", {Value("a"), Value(1)});
+  h.Enqueue("hb", {Value("b"), Value(1)});
+  h.Enqueue("hb", {Value("a"), Value(2)});
+  h.Step("inserts");
+  EXPECT_EQ(RowSet(h.engine, "hist"),
+            (std::set<Tuple>{Tuple{Value(1), Value(1)}, Tuple{Value(2), Value(1)}}));
+  h.Enqueue("drop", {Value("a"), Value(2)});
+  h.Step("cnt(2) retracted");
+  EXPECT_EQ(RowSet(h.engine, "hist"), (std::set<Tuple>{Tuple{Value(2), Value(1)}}));
+  h.Enqueue("drop", {Value("a"), Value(1)});
+  h.Step("cnt(1) replaced");
+}
+
+TEST(EngineTest, AggregatesMatchRecomputeUnderChurn) {
+  // Random inserts, replacements, deletes, expiries and event clears against every
+  // aggregate shape: ±, join recompute, min/bottomk, a negated atom, an event-driven body
+  // and an aggregate over another aggregate's head.
+  Engine e(MakeEngine());
+  ASSERT_TRUE(e.InstallSource(R"(
+    program churn;
+    table f(Ch, F) keys(0);
+    table hb(Dn, Ch, W) keys(0, 1);
+    table lease(Dn) keys(0) ttl(30);
+    event drop(Dn, Ch);
+    event ask(Ch);
+    table cnt(Ch, N) keys(0);
+    table wsum(Ch, S) keys(0);
+    table rep(Ch, N) keys(0);
+    table lo(Ch, W) keys(0);
+    table top(Ch, L) keys(0);
+    table alive(Ch, N) keys(0);
+    table hist(N, M) keys(0);
+    table asked(Ch, N) keys(0);
+    a1 cnt(Ch, count<Dn>) :- hb(Dn, Ch, _);
+    a2 wsum(Ch, sum<W>) :- hb(_, Ch, W);
+    a3 rep(Ch, count<Dn>) :- f(Ch, _), hb(Dn, Ch, _);
+    a4 lo(Ch, min<W>) :- hb(_, Ch, W), W > 1;
+    a5 top(Ch, bottomk<2, Dn>) :- f(Ch, _), hb(Dn, Ch, _), lease(Dn);
+    a6 alive(Ch, count<Dn>) :- f(Ch, _), hb(Dn, Ch, _), notin lease(Dn);
+    a7 hist(N, count<Ch>) :- cnt(Ch, N);
+    a8 asked(Ch, count<Dn>) :- ask(Ch), hb(Dn, Ch, _);
+    d1 delete hb(Dn, Ch, W) :- drop(Dn, Ch), hb(Dn, Ch, W);
+    d2 delete f(Ch, F) :- drop(_, Ch), f(Ch, F), Ch > 3;
+  )").ok());
+  std::mt19937_64 gen(11);
+  auto pick = [&gen](int n) { return static_cast<int>(gen() % static_cast<uint64_t>(n)); };
+  const char* dns[] = {"a", "b", "c", "d"};
+  double now = 0;
+  for (int step = 0; step < 60; ++step) {
+    for (int op = pick(5); op >= 0; --op) {
+      const Value dn(dns[pick(4)]);
+      const Value ch(pick(6));
+      switch (pick(6)) {
+        case 0:
+        case 1:
+          ASSERT_TRUE(e.Enqueue("hb", Tuple{dn, ch, Value(pick(4))}).ok());
+          break;
+        case 2:
+          ASSERT_TRUE(e.Enqueue("drop", Tuple{dn, ch}).ok());
+          break;
+        case 3:
+          ASSERT_TRUE(e.Enqueue("lease", Tuple{dn}).ok());
+          break;
+        case 4:
+          ASSERT_TRUE(e.Enqueue("f", Tuple{ch, Value(pick(2))}).ok());
+          break;
+        case 5:
+          ASSERT_TRUE(e.Enqueue("ask", Tuple{ch}).ok());
+          break;
+      }
+    }
+    EXPECT_TRUE(e.Tick(now).errors.empty());
+    EXPECT_TRUE(e.Tick(now + 1).errors.empty());
+    now += 7;
+    ExpectAggregatesMatchRecompute(e, "step " + std::to_string(step));
+  }
+}
+
+TEST(EngineTest, AggregatesFollowALaterInstall) {
+  // A later install re-seeds every aggregate. A ± rule rebuilds its accumulators from the
+  // table: the seed's delta replay still holds a row replaced on the seed tick, and the
+  // install's fact replaced a row the rule had already counted.
+  Engine e(MakeEngine());
+  ASSERT_TRUE(e.InstallSource(R"(
+    program first;
+    table loc(Dn, Ch, W) keys(0, 1);
+    table f(Ch) keys(0);
+    table cnt(Ch, N) keys(0);
+    table wsum(Ch, S) keys(0);
+    table rep(Ch, N) keys(0);
+    s1 cnt(Ch, count<Dn>) :- loc(Dn, Ch, _);
+    s2 wsum(Ch, sum<W>) :- loc(_, Ch, W);
+    j1 rep(Ch, count<Dn>) :- f(Ch), loc(Dn, Ch, _);
+  )").ok());
+  ASSERT_TRUE(e.Enqueue("f", Tuple{Value(1)}).ok());
+  ASSERT_TRUE(e.Enqueue("loc", Tuple{Value("a"), Value(1), Value(1)}).ok());
+  ASSERT_TRUE(e.Enqueue("loc", Tuple{Value("b"), Value(1), Value(2)}).ok());
+  e.Tick(0);
+  ExpectAggregatesMatchRecompute(e, "first seed");
+  ASSERT_TRUE(e.InstallSource(R"(
+    program second;
+    loc("a", 1, 5);
+    table seen(Ch, N) keys(0);
+    s3 seen(Ch, count<Dn>) :- loc(Dn, Ch, _);
+  )").ok());
+  ASSERT_TRUE(e.Enqueue("loc", Tuple{Value("c"), Value(1), Value(3)}).ok());
+  ASSERT_TRUE(e.Enqueue("loc", Tuple{Value("c"), Value(1), Value(4)}).ok());
+  e.Tick(1);
+  ExpectAggregatesMatchRecompute(e, "second seed");
+  EXPECT_EQ(RowSet(e, "cnt"), (std::set<Tuple>{Tuple{Value(1), Value(3)}}));
+  EXPECT_EQ(RowSet(e, "wsum"), (std::set<Tuple>{Tuple{Value(1), Value(11)}}));
+  ASSERT_TRUE(e.Enqueue("loc", Tuple{Value("b"), Value(1), Value(7)}).ok());
+  e.Tick(2);
+  ExpectAggregatesMatchRecompute(e, "after the seed");
+}
+
+TEST(EngineTest, IntegerSumOverflowIsATickError) {
+  Engine e(MakeEngine());
+  ASSERT_TRUE(e.InstallSource(R"(
+    program overflow;
+    table v(Id, V);
+    table g(K) keys(0);
+    table pm(K, S) keys(0);
+    table joined(K, S) keys(0);
+    s1 pm(1, sum<V>) :- v(_, V);
+    s2 joined(K, sum<V>) :- g(K), v(_, V);
+  )").ok());
+  ASSERT_TRUE(e.Enqueue("g", Tuple{Value(1)}).ok());
+  ASSERT_TRUE(e.Enqueue("v", Tuple{Value(1), Value(std::numeric_limits<int64_t>::max())}).ok());
+  EXPECT_TRUE(e.Tick(0).errors.empty());
+  ASSERT_TRUE(e.Enqueue("v", Tuple{Value(2), Value(1)}).ok());
+  Engine::TickResult r = e.Tick(1);
+  // Both the ± path (s1) and the group recompute (s2) report it, and neither keeps a sum.
+  ASSERT_EQ(r.errors.size(), 2u);
+  for (const std::string& err : r.errors) {
+    EXPECT_NE(err.find("integer overflow"), std::string::npos) << err;
+  }
+  EXPECT_TRUE(RowSet(e, "pm").empty());
+  EXPECT_TRUE(RowSet(e, "joined").empty());
+}
+
+TEST(EngineTest, FailedInstallLeavesNoTrace) {
+  Engine e(MakeEngine());
+  ASSERT_TRUE(e.InstallSource("program base; table a(K, V) keys(0); a(1, 10);").ok());
+  e.Tick(0);
+  // A timer, a new table, a fact replacing base's row and a watch, then an unsafe rule.
+  EXPECT_FALSE(e.InstallSource(R"(
+    program bad;
+    timer tk(10);
+    table b(X);
+    a(1, 99);
+    watch a;
+    b(X) :- tk(Y);
+  )").ok());
+  EXPECT_EQ(e.programs().size(), 1u);
+  EXPECT_EQ(e.NextTimerDeadline(), std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(e.catalog().Has("tk"));
+  EXPECT_FALSE(e.catalog().Has("b"));
+  EXPECT_EQ(RowSet(e, "a"), (std::set<Tuple>{Tuple{Value(1), Value(10)}}));
+  // The dropped names can be declared again, with another shape.
+  ASSERT_TRUE(e.InstallSource("program again; table b(X, Y); b(X, V) :- a(X, V);").ok());
+  EXPECT_TRUE(e.Tick(1).errors.empty());
+  EXPECT_EQ(RowSet(e, "b"), (std::set<Tuple>{Tuple{Value(1), Value(10)}}));
 }
 
 TEST(EngineTest, SameNamedAggregatesInTwoProgramsKeepSeparateState) {
@@ -601,6 +924,11 @@ TEST(EngineTest, BatchInstallMatchesOneByOne) {
   EXPECT_TRUE(RowSet(batch, "c").count(Tuple{Value(6)}) > 0);
 }
 
+// Dirty-rule scheduling is a pure optimization: fixpoint rounds that skip rules whose driver
+// tables received no deltas must reach the exact same fixpoint as exhaustively scanning every
+// rule. Runs the olg/shortest_paths.olg program (recursive join + min aggregate) on two
+// engines — one with the optimization disabled — and compares every table tuple-for-tuple,
+// both at the seeded fixpoint and after incremental edge insertions.
 TEST(EngineTest, DirtySchedulingMatchesExhaustive) {
   // Keep in sync with olg/shortest_paths.olg (inlined because unit tests cannot assume the
   // source tree's path at runtime).

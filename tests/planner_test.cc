@@ -258,28 +258,64 @@ TEST(PlannerTest, IncrementalAggEligibility) {
     table keyed_roll(K, N) keys(0);
     event ev(X);
     table ev_cnt(K, N) keys(0);
+    table lo(G, V) keys(0);
+    table fresh(G, N) keys(0);
     r1 rollup(G, count<Id>) :- obs(Id, G, _);
-    r2 keyed_roll(1, count<Id>) :- keyed_src(Id, _);
+    r2 keyed_roll(1, sum<V>) :- keyed_src(_, V);
     r3 ev_cnt(1, count<X>) :- ev(X);
+    r4 lo(G, min<V>) :- obs(_, G, V);
+    r5 fresh(G, count<Id>) :- obs(Id, G, T), f_now() - T < 10;
   )");
-  // r1: single-atom over an insert-only set-semantics table -> incremental.
-  EXPECT_TRUE(c.rules[0].incremental_agg);
-  // r2: driver has a proper primary key (rows can be replaced) -> not incremental.
-  EXPECT_FALSE(c.rules[1].incremental_agg);
-  // r3: driver is an event table (cleared per tick) -> not incremental.
-  EXPECT_FALSE(c.rules[2].incremental_agg);
+  // r1/r2: one atom over a persistent table, count/sum -> ± (replaced rows are subtracted).
+  EXPECT_TRUE(c.rules[0].agg.plus_minus);
+  EXPECT_TRUE(c.rules[1].agg.plus_minus);
+  EXPECT_TRUE(c.rules[0].variants.empty());
+  // r3: an event table is cleared every tick -> event-driven group recompute.
+  EXPECT_FALSE(c.rules[2].agg.plus_minus);
+  EXPECT_TRUE(c.rules[2].agg.event_driven);
+  ASSERT_EQ(c.rules[2].variants.size(), 1u);
+  EXPECT_EQ(c.rules[2].variants[0].driver_table, "ev");
+  // r4: min<> cannot be adjusted by ±.
+  EXPECT_FALSE(c.rules[3].agg.plus_minus);
+  // r5: a leaving row's binding must evaluate as it did when the row entered.
+  EXPECT_FALSE(c.rules[4].agg.plus_minus);
 }
 
-TEST(PlannerTest, DeleteRuleDisqualifiesIncrementalAgg) {
+TEST(PlannerTest, AggregateGroupRecomputePlan) {
   CompiledProgram c = MustCompile(R"(
     program t;
-    table obs(Id, G);
-    table rollup(G, N) keys(0);
-    event purge(Id);
-    r1 rollup(G, count<Id>) :- obs(Id, G);
-    d1 delete obs(Id, G) :- purge(Id), obs(Id, G);
+    table fchunk(Ch, F) keys(0);
+    table hb_chunk(Dn, Ch);
+    table chunk_rep(Ch, N) keys(0);
+    table job(J, C) keys(0);
+    table attempt(A, J, S) keys(0);
+    table running(C, N) keys(0);
+    rr1 chunk_rep(Ch, count<Dn>) :- fchunk(Ch, _), hb_chunk(Dn, Ch);
+    fs0 running(C, count<A>) :- attempt(A, J, "run"), job(J, C);
   )");
-  EXPECT_FALSE(c.rules[0].incremental_agg) << "deletable input must force full recompute";
+  // rr1: fchunk binds the group key and is keyed on it -> a key lookup per group; both
+  // atoms bind Ch, so neither mark variant needs a join.
+  const CompiledRule& rr1 = c.rules[0];
+  EXPECT_FALSE(rr1.agg.plus_minus);
+  EXPECT_FALSE(rr1.agg.event_driven);
+  EXPECT_EQ(rr1.full_variant.driver_table, "fchunk");
+  EXPECT_TRUE(rr1.agg.group_probe);
+  EXPECT_EQ(rr1.agg.group_cols, (std::vector<size_t>{0}));
+  EXPECT_EQ(rr1.agg.group_key_pos, (std::vector<int>{0}));
+  EXPECT_TRUE(rr1.agg.group_key_lookup);
+  ASSERT_EQ(rr1.variants.size(), 2u);
+  EXPECT_TRUE(rr1.variants[0].steps.empty());
+  EXPECT_TRUE(rr1.variants[1].steps.empty());
+  ASSERT_EQ(c.agg_readers.count(c.rules[0].variants[1].driver.table_id), 1u);
+  // fs0: only job binds C, so it drives the full variant, and attempt's mark variant joins
+  // through job to find the group.
+  const CompiledRule& fs0 = c.rules[1];
+  EXPECT_EQ(fs0.full_variant.driver_table, "job");
+  EXPECT_EQ(fs0.agg.group_cols, (std::vector<size_t>{1}));
+  ASSERT_EQ(fs0.variants.size(), 2u);
+  EXPECT_EQ(fs0.variants[0].driver_table, "attempt");
+  EXPECT_FALSE(fs0.variants[0].steps.empty());
+  EXPECT_TRUE(fs0.variants[1].steps.empty());
 }
 
 TEST(PlannerTest, DriverlessRuleFlagged) {
