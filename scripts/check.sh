@@ -28,7 +28,8 @@
 # for every push.
 # UBSan leg: rebuild with -DBOOM_SANITIZE=undefined (any report aborts) and run the engine,
 # evaluator, builtin and golden-program equivalence tests: aggregate sums and builtin
-# arithmetic must report integer overflow as an error, never wrap.
+# arithmetic must report integer overflow as an error, never wrap. It also runs the
+# data-plane integrity tests, whose checksum kernel loads unaligned 8-byte words.
 # TSan leg: rebuild with -DBOOM_SANITIZE=thread and run the engine and sim tests plus the
 # interner's concurrency cases. The simulator runs every engine on its one event loop; the
 # string interner is the one process-wide structure, so its sharded locks and thread-local
@@ -116,13 +117,13 @@ if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
   echo "==> UBSan build"
   cmake -B build-ubsan -S . -DBOOM_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" --target engine_test eval_test builtins_test \
-    program_equivalence_test
+    program_equivalence_test integrity_test
 
   # eval_test's suites are EvalExprTest, AggProperty and ClosureProperty; no test is
   # named EvalTest.
-  echo "==> UBSan engine smoke (aggregate sums, checked arithmetic, golden equivalence)"
+  echo "==> UBSan engine smoke (aggregate sums, checked arithmetic, golden equivalence, chunk checksum)"
   (cd build-ubsan &&
-    ctest -R 'EngineTest|EvalTest|EvalExprTest|AggProperty|ClosureProperty|BuiltinsTest|ProgramEquivalence' \
+    ctest -R 'EngineTest|EvalTest|EvalExprTest|AggProperty|ClosureProperty|BuiltinsTest|ProgramEquivalence|Integrity' \
       --output-on-failure -j "$JOBS")
 fi
 

@@ -130,11 +130,14 @@ rm6 ns_response(@C, R, false, "rm failed") :- do_rm(R, C, _), notin rm_ok(R, _, 
 // addchunk: allocate a fresh chunk id and pick the rep_factor least-loaded
 // live DataNodes (load = chunk count, a classic declarative placement policy).
 /////////////////////////////////////////////////////////////////////////////
-dl1 dn_load(Dn, count<C>) :- datanode(Dn, _), hb_chunk(Dn, C);
+// Chunks per reporting DataNode: a single-atom count, maintained by ± as hb_chunk rows come
+// and go (heartbeats, which replace datanode rows, do not touch it).
+dl1 dn_load(Dn, count<C>) :- hb_chunk(Dn, C);
 
 // Candidate targets per request: every live DataNode, with its chunk count as load — or 0
-// when it holds nothing (dn_load has no row then; deletions of hb_chunk rows retract its
-// groups, so the fallback must live at the consumer, evaluated per request).
+// when it holds nothing (dn_load has no row then: removing a DataNode's last hb_chunk row
+// retracts its group, so the fallback must live at the consumer, evaluated per request).
+// The datanode join, not dl1, restricts candidates to live DataNodes.
 event do_addchunk2(ReqId, Client, FileId);
 event cand_dn(ReqId, Client, FileId, Dn, Load);
 event addchunk_sel(ReqId, Client, FileId, Pairs);

@@ -28,7 +28,9 @@
 #ifndef SRC_BOOMFS_PROTOCOL_H_
 #define SRC_BOOMFS_PROTOCOL_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 #include "src/base/strings.h"
@@ -103,10 +105,47 @@ inline constexpr char kDnCorrupt[] = "dn_corrupt";
 inline constexpr char kReplicateCmd[] = "replicate_cmd";
 inline constexpr char kDnDelete[] = "dn_delete";
 
-// Chunk payload checksum (FNV-1a 64, carried as a signed int in tuples). Stable across
-// platforms so a checksum computed by the writer verifies on any replica.
+// Chunk payload checksum, carried as a signed int in tuples. Each 32-byte block is read as
+// four little-endian 8-byte words, fed one to each of four independent 64-bit lanes so the
+// multiplies overlap; the 0-31 trailing bytes are folded in one at a time, round-robin over
+// the lanes. Every step is h = (h ^ w) * P; h ^= h >> 32: a bijection of the lane for a
+// fixed input and injective in the input for a fixed lane. The final combine is injective in
+// each lane and mixes in the length, so a change confined to one word (in particular one
+// flipped byte) always changes the checksum. Byte order is fixed, so a checksum computed by
+// the writer verifies on any replica.
 inline int64_t ChunkChecksum(std::string_view data) {
-  return static_cast<int64_t>(Fnv1a64(data));
+  constexpr uint64_t kBasis = 14695981039346656037ULL;
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  auto step = [](uint64_t h, uint64_t w) {
+    h = (h ^ w) * kPrime;
+    return h ^ (h >> 32);
+  };
+  auto load = [](const char* p) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    return w;
+  };
+  const char* p = data.data();
+  const size_t n = data.size();
+  uint64_t lane[4] = {kBasis, kBasis + 1, kBasis + 2, kBasis + 3};
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lane[0] = step(lane[0], load(p + i));
+    lane[1] = step(lane[1], load(p + i + 8));
+    lane[2] = step(lane[2], load(p + i + 16));
+    lane[3] = step(lane[3], load(p + i + 24));
+  }
+  for (; i < n; ++i) {
+    lane[i & 3] = step(lane[i & 3], static_cast<unsigned char>(p[i]));
+  }
+  uint64_t h = step(kBasis, n);
+  for (uint64_t l : lane) {
+    h = step(h, l);
+  }
+  return static_cast<int64_t>(h);
 }
 
 // Overload shedding. A shed request is answered with Ok=false and payload

@@ -1,10 +1,16 @@
 // Integration tests for the file-system layer, parameterized over both NameNode
 // implementations: every behaviour must hold for BOOM-FS (Overlog) and the HDFS baseline.
+// NnDnLoadTest drives the Overlog NameNode program alone on a bare engine.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/boomfs/boomfs.h"
+#include "src/boomfs/nn_program.h"
 #include "src/boomfs/protocol.h"
+#include "src/overlog/engine.h"
 
 namespace boom {
 namespace {
@@ -369,6 +375,111 @@ INSTANTIATE_TEST_SUITE_P(BothFileSystems, FsRobustnessTest,
                          [](const ::testing::TestParamInfo<FsKind>& info) {
                            return info.param == FsKind::kBoomFs ? "BoomFs" : "HdfsBaseline";
                          });
+
+// dl1 keeps dn_load by ± over hb_chunk alone. After each way an hb_chunk row enters or
+// leaves the NameNode (chunk report, rm, abandon, dead-chunk GC, corrupt report, DataNode
+// death), dn_load must equal a plain per-DataNode count of hb_chunk.
+class NnDnLoadTest : public ::testing::Test {
+ protected:
+  using Counts = std::map<std::string, int64_t>;
+
+  NnDnLoadTest() : engine_(Options()) {
+    Status installed = engine_.Install(BoomFsNnProgram());
+    EXPECT_TRUE(installed.ok()) << installed.ToString();
+  }
+
+  static EngineOptions Options() {
+    EngineOptions opts;
+    opts.address = "nn";
+    return opts;
+  }
+
+  void Enqueue(const std::string& table, Tuple tuple) {
+    Status status = engine_.Enqueue(table, std::move(tuple));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  void Heartbeat(const std::string& dn) { Enqueue(kDnHeartbeat, Tuple{Value("nn"), Value(dn)}); }
+  void Report(const std::string& dn, int64_t chunk) {
+    Enqueue(kDnChunkReport, Tuple{Value("nn"), Value(dn), Value(chunk)});
+  }
+  void Request(int64_t req, const char* cmd, const char* path, Value arg) {
+    Enqueue(kNsRequest, Tuple{Value("nn"), Value(req), Value("client"), Value(cmd),
+                              Value(path), std::move(arg)});
+  }
+
+  // Ticks the step at `now_ms`, then an empty tick 1 ms later: deletions apply at the step's
+  // tick boundary, so aggregates (and every rule that reads dn_load) see them from the next
+  // timestep on. Checks dn_load against a recount of hb_chunk and returns the recount.
+  Counts TickAndCheck(double now_ms, const std::string& step) {
+    for (double t : {now_ms, now_ms + 1}) {
+      Engine::TickResult result = engine_.Tick(t);
+      EXPECT_TRUE(result.errors.empty()) << step << ": " << result.errors.front();
+    }
+    Counts recount;
+    engine_.catalog().Get("hb_chunk").ForEach(
+        [&recount](const Tuple& row) { ++recount[row[0].as_string()]; });
+    Counts load;
+    engine_.catalog().Get("dn_load").ForEach(
+        [&load](const Tuple& row) { load[row[0].as_string()] = row[1].as_int(); });
+    EXPECT_EQ(load, recount) << step;
+    return recount;
+  }
+
+  Engine engine_;
+};
+
+TEST_F(NnDnLoadTest, LoadMatchesRecountThroughEveryRemoval) {
+  for (const char* dn : {"dn0", "dn1", "dn2"}) {
+    Heartbeat(dn);
+  }
+  Enqueue("file", Tuple{Value(1), Value(0), Value("f1"), Value(false)});
+  Enqueue("file", Tuple{Value(2), Value(0), Value("f2"), Value(false)});
+  for (auto [chunk, file] : {std::pair{10, 1}, {11, 1}, {20, 2}, {21, 2}, {22, 2}}) {
+    Enqueue("fchunk", Tuple{Value(chunk), Value(file)});
+  }
+  TickAndCheck(0, "registration");
+
+  // Chunk reports (hb2).
+  for (int64_t chunk : {10, 11, 20, 21}) {
+    Report("dn0", chunk);
+  }
+  Report("dn1", 10);
+  Report("dn1", 20);
+  Report("dn2", 11);
+  Report("dn2", 21);
+  EXPECT_EQ(TickAndCheck(100, "chunk reports"), (Counts{{"dn0", 4}, {"dn1", 2}, {"dn2", 2}}));
+
+  // Corrupt report (cq1).
+  Enqueue(kDnCorrupt, Tuple{Value("nn"), Value("dn0"), Value(21)});
+  EXPECT_EQ(TickAndCheck(200, "corrupt report"), (Counts{{"dn0", 3}, {"dn1", 2}, {"dn2", 2}}));
+
+  // rm of /f1 drops the locations of chunks 10 and 11 (rm8) and tombstones them.
+  Request(1, kCmdRm, "/f1", Value());
+  EXPECT_EQ(TickAndCheck(300, "rm"), (Counts{{"dn0", 1}, {"dn1", 1}, {"dn2", 1}}));
+
+  // A report of a tombstoned chunk is inserted and retracted in one timestep (hb4); a
+  // report of a live chunk still counts.
+  Report("dn1", 10);
+  Report("dn2", 20);
+  Report("dn2", 22);
+  EXPECT_EQ(TickAndCheck(400, "dead-chunk GC"), (Counts{{"dn0", 1}, {"dn1", 1}, {"dn2", 3}}));
+
+  // Abandoning chunk 20 (ab4) empties dn0's and dn1's groups.
+  Request(2, kCmdAbandon, "", Value(20));
+  EXPECT_EQ(TickAndCheck(500, "abandon"), (Counts{{"dn2", 2}}));
+
+  // dn2 stops heartbeating: the failure detector declares it dead and drops its
+  // locations (fd3). dn0 keeps heartbeating and reports a chunk again.
+  Report("dn0", 22);
+  Counts counts;
+  for (double t = 600; t <= 4000; t += 100) {
+    Heartbeat("dn0");
+    Heartbeat("dn1");
+    counts = TickAndCheck(t, "failure detection at " + std::to_string(t));
+  }
+  EXPECT_EQ(counts, (Counts{{"dn0", 1}}));
+  EXPECT_EQ(engine_.catalog().Get("datanode").LookupByKey(Tuple{Value("dn2")}), nullptr);
+}
 
 }  // namespace
 }  // namespace boom

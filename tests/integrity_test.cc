@@ -1,4 +1,5 @@
-// Data-plane integrity tests (ctest label: integrity): checksummed chunk stores with
+// Data-plane integrity tests (ctest label: integrity): the chunk checksum kernel's
+// single-byte detection guarantee and pinned values, checksummed chunk stores with
 // last-writer-wins rewrite semantics, replicas sharing one payload buffer with private
 // copy-on-corrupt, terminal client failure against dead NameNodes, chunk abandonment, and
 // NameNode safe mode for both implementations.
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,78 @@
 
 namespace boom {
 namespace {
+
+// A deterministic byte pattern covering all 256 byte values.
+std::string ChecksumPattern(size_t n) {
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    s[i] = static_cast<char>((i * 31 + 7) & 0xff);
+  }
+  return s;
+}
+
+// Flipping any single bit at `at`, or replacing the byte with a few other values, changes
+// the checksum: the guarantee FlipByte's corruption model relies on.
+void ExpectByteChangeDetected(std::string data, size_t at) {
+  const int64_t clean = ChunkChecksum(data);
+  const char original = data[at];
+  for (int bit = 0; bit < 8; ++bit) {
+    data[at] = static_cast<char>(original ^ (1 << bit));
+    ASSERT_NE(ChunkChecksum(data), clean) << "len " << data.size() << " at " << at << " bit "
+                                          << bit;
+  }
+  for (unsigned char replacement : {0x00, 0x20, 0x7f, 0xff}) {
+    data[at] = static_cast<char>(replacement);
+    if (data[at] != original) {
+      ASSERT_NE(ChunkChecksum(data), clean)
+          << "len " << data.size() << " at " << at << " byte " << int{replacement};
+    }
+  }
+}
+
+TEST(ChecksumIntegrityTest, EveryByteChangeDetectedInShortChunks) {
+  for (size_t len = 0; len <= 130; ++len) {
+    const std::string data = ChecksumPattern(len);
+    for (size_t at = 0; at < len; ++at) {
+      ExpectByteChangeDetected(data, at);
+    }
+  }
+}
+
+TEST(ChecksumIntegrityTest, SampledByteChangesDetectedInFullChunk) {
+  const size_t len = 64 * 1024;
+  const std::string data = ChecksumPattern(len);
+  std::set<size_t> offsets;
+  for (size_t at = 0; at < 32; ++at) {
+    offsets.insert(at);
+    offsets.insert(len - 1 - at);
+  }
+  for (size_t at = 0; at < len; at += 16) {
+    offsets.insert(at + (at / 16) % 16);
+  }
+  ASSERT_GE(offsets.size(), 4096u);
+  for (size_t at : offsets) {
+    ExpectByteChangeDetected(data, at);
+  }
+  // One byte short of a full chunk: its last 31 bytes take the trailing-byte path.
+  const std::string odd = ChecksumPattern(len - 1);
+  for (size_t at = odd.size() - 31; at < odd.size(); ++at) {
+    ExpectByteChangeDetected(odd, at);
+  }
+}
+
+// Checksums travel with chunks between processes and are checked against stored replicas,
+// so the kernel's values are pinned: a change to them must be deliberate.
+TEST(ChecksumIntegrityTest, KnownAnswers) {
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(0)), int64_t{6253830521418574311});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(1)), int64_t{-3951001444317214876});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(7)), int64_t{-2618905722566597952});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(8)), int64_t{-6338521978874182449});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(31)), int64_t{-931364926925119567});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(32)), int64_t{-625955950623792267});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(33)), int64_t{-233889715879689187});
+  EXPECT_EQ(ChunkChecksum(ChecksumPattern(64 * 1024)), int64_t{1629179172032664726});
+}
 
 // A dn_write that re-sends an existing chunk id with different bytes replaces the stored
 // copy (last writer wins). The client's pipeline recovery legitimately re-sends chunk ids

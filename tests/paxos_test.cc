@@ -288,7 +288,7 @@ TEST(PaxosTest, FiveReplicasToleratesTwoFailures) {
   EXPECT_EQ(LeaderOf(cluster, "px1"), Value("px1"));
   SubmitCommand(cluster, "px1", Value("survives"));
   cluster.RunUntil(10000);
-  for (const std::string& p : {"px1", "px2", "px4"}) {
+  for (const char* p : {"px1", "px2", "px4"}) {
     std::map<int64_t, Value> log = DecidedLog(cluster, p);
     ASSERT_EQ(log.size(), 1u) << p;
     EXPECT_EQ(log.begin()->second, Value("survives"));
