@@ -25,15 +25,13 @@ fi
 
 echo "==> Release build (bench targets)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j "$JOBS" --target micro_engine ablation_engine >/dev/null
+cmake --build build-release -j "$JOBS" --target micro_engine >/dev/null
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 echo "==> micro_engine --json"
 ./build-release/bench/micro_engine --json > "$tmpdir/micro.json"
-echo "==> ablation_engine --json"
-./build-release/bench/ablation_engine --json > "$tmpdir/ablation.json"
 
 python3 - "$tmpdir" <<'PY'
 import json
@@ -42,12 +40,9 @@ import sys
 tmpdir = sys.argv[1]
 with open(tmpdir + "/micro.json") as f:
     micro = json.load(f)
-with open(tmpdir + "/ablation.json") as f:
-    ablation = json.load(f)
 
 current = {
     "micro_engine": micro["workloads"],
-    "ablation_engine": ablation["workloads"],
 }
 
 try:

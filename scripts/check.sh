@@ -76,7 +76,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j "$JOBS" --target chaos_explorer telemetry_test \
     trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
     federation_test planner_test join_order_test olglint olgrun value_test boomfs_test \
-    integrity_test paxos_test program_equivalence_test engine_test eval_test table_test
+    integrity_test paxos_test program_equivalence_test engine_test eval_test table_test \
+    reference_eval_test
 
   echo "==> ASan planner smoke (ctest -L planner)"
   (cd build-asan && ctest -L planner --output-on-failure -j "$JOBS")
@@ -96,8 +97,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "==> ASan lint smoke (ctest -L lint)"
   (cd build-asan && ctest -L lint --output-on-failure -j "$JOBS")
 
-  echo "==> ASan engine smoke (range deltas, TTL expiry queue, aggregate removal observers)"
-  (cd build-asan && ctest -R 'EngineTest|EvalTest|EvalExprTest|AggProperty|ClosureProperty|TableTest' \
+  echo "==> ASan engine smoke (range deltas, TTL expiry queue, aggregate removal observers, reference oracle)"
+  (cd build-asan && ctest -R 'EngineTest|ReferenceEval|EvalExprTest|AggProperty|ClosureProperty|TableTest' \
     --output-on-failure -j "$JOBS")
 
   echo "==> ASan data-plane smoke (interner, shared chunk payloads, copy-on-corrupt)"
@@ -117,13 +118,12 @@ if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
   echo "==> UBSan build"
   cmake -B build-ubsan -S . -DBOOM_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" --target engine_test eval_test builtins_test \
-    program_equivalence_test integrity_test
+    program_equivalence_test integrity_test reference_eval_test
 
-  # eval_test's suites are EvalExprTest, AggProperty and ClosureProperty; no test is
-  # named EvalTest.
-  echo "==> UBSan engine smoke (aggregate sums, checked arithmetic, golden equivalence, chunk checksum)"
+  # eval_test's suites are EvalExprTest, AggProperty and ClosureProperty.
+  echo "==> UBSan engine smoke (aggregate sums, checked arithmetic, golden equivalence, chunk checksum, reference oracle)"
   (cd build-ubsan &&
-    ctest -R 'EngineTest|EvalTest|EvalExprTest|AggProperty|ClosureProperty|BuiltinsTest|ProgramEquivalence|Integrity' \
+    ctest -R 'EngineTest|ReferenceEval|EvalExprTest|AggProperty|ClosureProperty|BuiltinsTest|ProgramEquivalence|Integrity' \
       --output-on-failure -j "$JOBS")
 fi
 

@@ -8,13 +8,10 @@ Compares a fresh `micro_engine --json` run against the committed BENCH_engine.js
     without refreshing the tracked file — fail);
   * each fresh ns_per_op must be within --tolerance (default 25%) of the committed number.
 
-Only micro_engine is regression-gated: the ablation configurations deliberately disable
-engine mechanisms, so their absolute numbers are informational. The committed file must
-still carry every section with the expected schema:
+The committed file must carry the section with the expected schema:
 
   current.micro_engine     {name: {ns_per_op, tuples_per_sec}}  engine rows, churn_probe
                            included
-  current.ablation_engine  {config: {ns_per_op, tuples_per_sec}}  configs A and E
 
 Usage: check_bench.py --committed BENCH_engine.json --fresh fresh_micro.json
 Exit code 0 on pass, 1 on any failure (failures are listed on stderr).
@@ -49,9 +46,8 @@ def main():
     if committed.get("schema") != "boom-bench-v1":
         errors += fail("committed file missing schema boom-bench-v1")
     current = committed.get("current", {})
-    for section in ("micro_engine", "ablation_engine"):
-        if not current.get(section):
-            errors += fail(f"committed file missing current.{section}")
+    if not current.get("micro_engine"):
+        errors += fail("committed file missing current.micro_engine")
 
     committed_micro = current.get("micro_engine", {})
     fresh_micro = fresh.get("workloads", {})

@@ -48,8 +48,9 @@ class Catalog {
   // Declare time so the engine's per-tick expiry pass doesn't allocate every table name.
   const std::vector<Table*>& TtlTables() const { return ttl_tables_; }
 
-  // Clears all tables of kind kEvent (end-of-timestep semantics). Uses a Declare-time cache
-  // of event tables, so ticks don't scan the whole catalog.
+  // Clears all tables of kind kEvent (end-of-timestep semantics), without calling removal
+  // observers (Table::ObserveClear). Uses a Declare-time cache of event tables, so ticks
+  // don't scan the whole catalog.
   void ClearEvents();
 
  private:

@@ -187,10 +187,14 @@ Status Engine::Recompile() {
       agg_pending_[static_cast<size_t>(compiled_.rules[i].stratum)].push_back(i);
     }
   }
+  observed_events_.clear();
   for (uint32_t id = 0; id < catalog_.size(); ++id) {
     Table::RemovalObserver observer;
     if (compiled_.agg_readers.count(id) > 0) {
-      observer = [this, id](const Tuple& row) { MarkRemoval(id, row); };
+      observer = [this, id](const Tuple& row) { MarkGroups(compiled_.agg_readers.at(id), row); };
+      if (catalog_.ById(id).def().kind == TableKind::kEvent) {
+        observed_events_.push_back(id);
+      }
     }
     catalog_.ById(id).SetRemovalObserver(std::move(observer));
   }
@@ -377,13 +381,16 @@ bool Engine::ApplyLocalInsert(uint32_t id, const Tuple& tuple) {
   if (table.Insert(tuple, now_ms_) == Table::InsertOutcome::kUnchanged) {
     return false;
   }
+  if (id < compiled_.agg_negated_readers.size() && !compiled_.agg_negated_readers[id].empty()) {
+    MarkGroups(compiled_.agg_negated_readers[id], tuple);
+  }
   AppendDelta(id, tuple);
   FireWatches(table.name(), tuple, /*inserted=*/true);
   return true;
 }
 
-void Engine::MarkRemoval(uint32_t table_id, const Tuple& row) {
-  for (const AggReader& reader : compiled_.agg_readers.at(table_id)) {
+void Engine::MarkGroups(const std::vector<AggReader>& readers, const Tuple& row) {
+  for (const AggReader& reader : readers) {
     const CompiledRule& rule = compiled_.rules[reader.rule];
     AggState& state = agg_state_[reader.rule];
     const bool was_clean = state.marked.empty();
@@ -471,6 +478,9 @@ void Engine::UpdateAggregate(size_t rule_idx, TickResult* result) {
     }
   } else {
     for (const CompiledVariant& variant : rule.variants) {
+      if (variant.driver.negated) {
+        continue;  // marked as each row entered (ApplyLocalInsert)
+      }
       const std::vector<Tuple>& rows = deltas_[variant.driver.table_id].rows;
       evaluator_.EvalAggBindings(rule, variant, rows.data(), rows.data() + rows.size(),
                                  &state.marked);
@@ -713,7 +723,6 @@ Engine::TickResult Engine::Tick(double now_ms) {
     for (uint32_t id : touched_) {
       deltas_[id].begin = deltas_[id].end = 0;
     }
-    const bool exhaustive = options_.disable_dirty_rule_scheduling;
     if (dirty_mark_.size() < sched.delta_rules.size()) {
       dirty_mark_.resize(sched.delta_rules.size(), 0);
     }
@@ -726,8 +735,7 @@ Engine::TickResult Engine::Tick(double now_ms) {
       }
       // Advance each buffer's round range to its unconsumed suffix, and collect the dirty
       // rules: those with a variant driven by a table that has rows this round, in
-      // delta_rules (program) order — the same order, and the same evaluations, as the
-      // exhaustive scan, minus the rules whose variants would all find an empty range.
+      // delta_rules (program) order. A rule left out would find only empty ranges.
       bool any_delta = false;
       dirty_worklist_.clear();
       for (uint32_t id : touched_) {
@@ -738,9 +746,6 @@ Engine::TickResult Engine::Tick(double now_ms) {
           continue;
         }
         any_delta = true;
-        if (exhaustive) {
-          continue;
-        }
         auto driven = sched.delta_rules_by_driver.find(id);
         if (driven == sched.delta_rules_by_driver.end()) {
           continue;
@@ -756,16 +761,9 @@ Engine::TickResult Engine::Tick(double now_ms) {
         break;
       }
       ++result.rounds;
-      if (exhaustive) {
-        dirty_worklist_.resize(sched.delta_rules.size());
-        for (size_t i = 0; i < dirty_worklist_.size(); ++i) {
-          dirty_worklist_[i] = i;
-        }
-      } else {
-        std::sort(dirty_worklist_.begin(), dirty_worklist_.end());
-        for (size_t pos : dirty_worklist_) {
-          dirty_mark_[pos] = 0;
-        }
+      std::sort(dirty_worklist_.begin(), dirty_worklist_.end());
+      for (size_t pos : dirty_worklist_) {
+        dirty_mark_[pos] = 0;
       }
       if (dirty_worklist_.empty()) {
         break;  // nothing runs, so nothing new arrives: the next round would be empty
@@ -799,7 +797,13 @@ Engine::TickResult Engine::Tick(double now_ms) {
     }
   }
 
-  // 5. Apply deletions (tick-boundary semantics).
+  // 5. Apply deletions, then clear events (tick-boundary semantics). An event-driven
+  // aggregate marks groups only from its event rows, so the removal of every event row is
+  // observed first, while every binding is whole: a deletion, or another event table's
+  // clear, could take another row of it away.
+  for (uint32_t id : observed_events_) {
+    catalog_.ById(id).ObserveClear();
+  }
   for (const Derivation& d : deletions) {
     if (d.remote) {
       continue;  // remote deletes are not part of the language subset

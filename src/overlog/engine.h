@@ -8,9 +8,11 @@
 //   3. runs each stratum to a semi-naive fixpoint. At stratum entry, each aggregate rule with
 //      affected groups updates just those groups (see AggregatePlan): a group is affected
 //      when a row that entered or left a body table takes part in one of its bindings.
-//      Inserts are read from the delta buffers; a removal (delete rule, key replacement, TTL
+//      Inserts are read from the delta buffers, except that a row entering a table the rule
+//      negates marks its groups as it enters; a removal (delete rule, key replacement, TTL
 //      expiry, event clear, a lower aggregate's retraction) marks its groups through the
-//      table's removal observer, before the row leaves,
+//      table's removal observer, before the row leaves. Each change is judged against the
+//      state it happens in, so the first change to end a binding finds it whole,
 //   4. applies deletions derived by `delete` rules,
 //   5. clears event tables and returns tuples destined for other nodes.
 //
@@ -52,10 +54,6 @@ struct EngineOptions {
   // f_unique_id() salt; defaults to a hash of the address. Replicated state machines that
   // replay an identical command log set the same salt on every replica so minted ids agree.
   std::optional<uint64_t> id_salt;
-  // Ablation/validation switch: fixpoint rounds scan every rule in the stratum instead of
-  // only those whose driver tables received deltas. Must derive identical fixpoints (see
-  // engine_test DirtySchedulingMatchesExhaustive).
-  bool disable_dirty_rule_scheduling = false;
 };
 
 class Engine {
@@ -223,9 +221,9 @@ class Engine {
   // can no longer fail.
   void Load(const Program& program);
   Status Recompile();
-  // Table `table_id`'s removal observer: marks the groups `row` takes part in for every
-  // aggregate reading that table (a ± rule also subtracts the row's bindings).
-  void MarkRemoval(uint32_t table_id, const Tuple& row);
+  // Marks the groups `row` takes part in for each of `readers` (a ± rule also subtracts the
+  // row's bindings). A table's removal observer calls it with the table's agg_readers.
+  void MarkGroups(const std::vector<AggReader>& readers, const Tuple& row);
   // Adds (sign +1) or subtracts (-1) the bindings of rows [begin, end) to a ± rule's
   // accumulators and marks their groups.
   void FoldBindings(size_t rule_idx, const Tuple* begin, const Tuple* end, int64_t sign);
@@ -241,8 +239,8 @@ class Engine {
   void FireWatches(const std::string& table, const Tuple& tuple, bool inserted);
   // Appends `tuple` to table `id`'s delta buffer.
   void AppendDelta(uint32_t id, const Tuple& tuple);
-  // Inserts locally; appends to the delta buffer on change; fires watches. Returns true if
-  // new.
+  // Inserts locally; on change marks the groups of aggregates negating the table, appends to
+  // the delta buffer and fires watches. Returns true if new.
   bool ApplyLocalInsert(uint32_t id, const Tuple& tuple);
 
   EngineOptions options_;
@@ -258,6 +256,7 @@ class Engine {
   std::vector<TimerState> timers_;
   std::map<std::string, std::vector<WatchFn>> watches_;
   std::vector<AggState> agg_state_;  // by rule id
+  std::vector<uint32_t> observed_events_;  // event tables with a removal observer
   // By stratum: aggregate rules with marked groups, due at that stratum's next entry.
   std::vector<std::vector<size_t>> agg_pending_;
 

@@ -325,26 +325,9 @@ template <typename DriveFn, typename InputsFn>
 void Evaluator::CollectBindings(const CompiledRule& rule, DriveFn&& drive,
                                 InputsFn&& inputs_of) {
   const CompiledVariant& variant = rule.full_variant;
-  // With a single positive atom, driver rows are already distinct, so no dedup is needed.
-  const bool need_dedup = !rule.single_positive_atom;
-  std::unordered_map<size_t, std::vector<Tuple>> seen_fingerprints;  // hash -> tuples
+  // Every binding is a distinct combination of body rows (a wildcard is a slot too, and
+  // tables are sets), and each is one aggregate input.
   auto emit = [&](const std::vector<Value>& slots) {
-    if (need_dedup) {
-      // Fingerprint over all slots the planner guarantees bound.
-      std::vector<Value> fp_vals;
-      fp_vals.reserve(variant.bound_slots.size());
-      for (int s : variant.bound_slots) {
-        fp_vals.push_back(slots[static_cast<size_t>(s)]);
-      }
-      Tuple fingerprint(std::move(fp_vals));
-      std::vector<Tuple>& bucket = seen_fingerprints[fingerprint.hash()];
-      for (const Tuple& t : bucket) {
-        if (t == fingerprint) {
-          return;  // duplicate binding
-        }
-      }
-      bucket.push_back(fingerprint);
-    }
     const std::vector<Value>* values = AggInputsOf(rule, slots);
     if (values == nullptr) {
       return;

@@ -91,8 +91,8 @@ class Evaluator {
   const std::vector<Value>* AggInputsOf(const CompiledRule& rule,
                                         const std::vector<Value>& slots);
   // Evaluates the full variant from the driver rows `drive` visits (or once, without a
-  // driver), dropping duplicate bindings, and appends each binding's aggregate inputs to
-  // the per-position vectors inputs_of(slots) returns (skipped when it returns nullptr).
+  // driver) and appends each binding's aggregate inputs to the per-position vectors
+  // inputs_of(slots) returns (skipped when it returns nullptr).
   template <typename DriveFn, typename InputsFn>
   void CollectBindings(const CompiledRule& rule, DriveFn&& drive, InputsFn&& inputs_of);
   // Group key -> per-position aggregate inputs over the whole driver table, keeping only

@@ -63,7 +63,6 @@ class RuleCompiler {
       }
     }
     out.driverless = positive_atoms.empty();
-    out.single_positive_atom = positive_atoms.size() == 1;
 
     if (out.has_agg) {
       BOOM_RETURN_IF_ERROR(PlanAggregate(positive_atoms, &out));
@@ -192,6 +191,7 @@ class RuleCompiler {
     std::set<int> bound;
     variant.driver_table = atom.table;
     variant.driver = CompileAtom(atom, out, &bound, /*is_probe=*/false);
+    variant.driver.negated = rule_.body[idx].atom.negated;
     return variant;
   }
 
@@ -388,6 +388,7 @@ class RuleCompiler {
         Atom positive = driver_atom;
         positive.negated = false;
         variant.driver = CompileAtom(positive, out, &bound, /*is_probe=*/false);
+        variant.driver.negated = true;
       } else {
         variant.driver = CompileAtom(driver_atom, out, &bound, /*is_probe=*/false);
       }
@@ -496,7 +497,6 @@ class RuleCompiler {
                    " is not bound by the body");
       }
     }
-    variant.bound_slots.assign(bound.begin(), bound.end());
     return variant;
   }
 
@@ -676,11 +676,12 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
   for (size_t i = 0; i < out.rules.size(); ++i) {
     CompiledRule& cr = out.rules[i];
     if (cr.is_delete || cr.is_next) {
-      // Deferred heads run once their body tables are final.
+      // Deferred heads run once their body tables are final: in the stratum of the highest
+      // positive one, and above every negated one (whose stratum may still be deriving it).
       int s = 0;
       for (const BodyTerm& t : rules[i].body) {
         if (t.kind == BodyTerm::Kind::kAtom) {
-          s = std::max(s, table_stratum(t.atom.table));
+          s = std::max(s, table_stratum(t.atom.table) + (t.atom.negated ? 1 : 0));
         }
       }
       cr.stratum = s;
@@ -701,9 +702,18 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
     if (cr.has_agg) {
       sched.agg_rules.push_back(i);
       auto reads = [&](uint32_t table_id, int variant) {
-        std::vector<size_t>& driven = sched.agg_rules_by_driver[table_id];
-        if (driven.empty() || driven.back() != i) {
-          driven.push_back(i);
+        if (variant >= 0 && cr.variants[static_cast<size_t>(variant)].driver.negated) {
+          // A row entering a negated table can end bindings whose other rows a later change
+          // (in a lower stratum, say) removes: its groups are marked as it enters.
+          if (out.agg_negated_readers.size() <= table_id) {
+            out.agg_negated_readers.resize(table_id + 1);
+          }
+          out.agg_negated_readers[table_id].push_back(AggReader{i, variant});
+        } else {
+          std::vector<size_t>& driven = sched.agg_rules_by_driver[table_id];
+          if (driven.empty() || driven.back() != i) {
+            driven.push_back(i);
+          }
         }
         // The event clear only removes bindings of an event-driven rule, and when its head is
         // an event too, the rows those bindings derived are gone by then.

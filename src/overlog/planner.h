@@ -57,9 +57,10 @@ struct CompiledStep {
 // only for the full ordering of a body without positive atoms).
 struct CompiledVariant {
   std::string driver_table;
-  CompiledAtom driver;              // meaningful when driver_table is nonempty
+  // Meaningful when driver_table is nonempty. Binds its rows as a positive atom; `negated`
+  // is set on an aggregate's mark variant driven by a negated atom.
+  CompiledAtom driver;
   std::vector<CompiledStep> steps;  // remaining terms, in evaluation order
-  std::vector<int> bound_slots;     // slots guaranteed bound after all steps (sorted)
 };
 
 struct CompiledHeadArg {
@@ -120,9 +121,6 @@ struct CompiledRule {
   CompiledVariant full_variant;
   // True when the body has no positive atoms: evaluated only at seed time.
   bool driverless = false;
-  // Exactly one positive atom in the body: aggregate bindings are already distinct per
-  // driver row, so the evaluator can skip fingerprint deduplication.
-  bool single_positive_atom = false;
   AggregatePlan agg;  // aggregate rules only
 };
 
@@ -135,12 +133,11 @@ struct StratumSchedule {
   std::vector<size_t> delta_rules;  // semi-naive rules
   // Driver table id -> ascending positions in delta_rules having a variant driven by it. A
   // fixpoint round unions the entries for tables that actually received deltas (the "dirty
-  // rules") and evaluates only those, in delta_rules order — exactly the order the
-  // exhaustive every-rule loop used, so derivation order (and with it send order, watch
-  // order, and chaos schedules) is unchanged.
+  // rules") and evaluates only those, in delta_rules (program) order, so derivation order
+  // (and with it send order, watch order, and chaos schedules) is deterministic.
   std::unordered_map<uint32_t, std::vector<size_t>> delta_rules_by_driver;
   // Table id -> ascending rule ids in agg_rules whose groups that table's inserts can mark
-  // (the ± body table, or a mark variant's driver).
+  // (the ± body table, or a mark variant's driver that is not negated).
   std::unordered_map<uint32_t, std::vector<size_t>> agg_rules_by_driver;
 };
 
@@ -158,6 +155,10 @@ struct CompiledProgram {
   // Table id -> aggregate rules whose groups a row leaving that table can affect, in rule
   // order.
   std::unordered_map<uint32_t, std::vector<AggReader>> agg_readers;
+  // By table id (absent past the last table with one): the mark variants driven by a
+  // negated atom over that table, in rule order. A row entering the table marks their groups
+  // as it enters; a vector, since every insert looks it up.
+  std::vector<std::vector<AggReader>> agg_negated_readers;
 };
 
 // Compiles `rules` (typically the union of all installed programs) against tables already

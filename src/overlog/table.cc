@@ -231,13 +231,16 @@ void Table::AssertProbeFresh(uint64_t generation) const {
       << generation << ", now " << version_ << ")";
 }
 
+void Table::ObserveClear() const {
+  if (on_remove_) {
+    for (const auto& [key, row] : rows_) {
+      on_remove_(row);
+    }
+  }
+}
+
 void Table::Clear() {
   if (!rows_.empty()) {
-    if (on_remove_) {
-      for (const auto& [key, row] : rows_) {
-        on_remove_(row);
-      }
-    }
     rows_.clear();
     row_time_.clear();
     expiry_queue_.clear();

@@ -16,8 +16,10 @@
 // Event tables hold tuples for a single engine timestep; the Engine clears them between ticks.
 //
 // A removal observer, when set, sees every row just before it leaves: Erase/EraseByKey, key
-// replacement in Insert, TTL expiry and Clear. The engine uses it to find the aggregate
-// groups a removed row took part in, against the state that still holds the row.
+// replacement in Insert and TTL expiry. Clear leaves that to ObserveClear, called first, so
+// that several tables can clear as one step (the engine's event clear). The engine uses it to
+// find the aggregate groups a removed row took part in, against the state that still holds
+// the row.
 
 #ifndef SRC_OVERLOG_TABLE_H_
 #define SRC_OVERLOG_TABLE_H_
@@ -126,6 +128,8 @@ class Table {
   // taken at that generation is stale. Callers gate this behind debug builds.
   void AssertProbeFresh(uint64_t generation) const;
 
+  // Shows the removal observer every row, as if each were leaving; Clear then drops them.
+  void ObserveClear() const;
   void Clear();
 
   // Soft state: removes rows stamped before `cutoff_ms`, returning the expired rows in stamp

@@ -924,74 +924,5 @@ TEST(EngineTest, BatchInstallMatchesOneByOne) {
   EXPECT_TRUE(RowSet(batch, "c").count(Tuple{Value(6)}) > 0);
 }
 
-// Dirty-rule scheduling is a pure optimization: fixpoint rounds that skip rules whose driver
-// tables received no deltas must reach the exact same fixpoint as exhaustively scanning every
-// rule. Runs the olg/shortest_paths.olg program (recursive join + min aggregate) on two
-// engines — one with the optimization disabled — and compares every table tuple-for-tuple,
-// both at the seeded fixpoint and after incremental edge insertions.
-TEST(EngineTest, DirtySchedulingMatchesExhaustive) {
-  // Keep in sync with olg/shortest_paths.olg (inlined because unit tests cannot assume the
-  // source tree's path at runtime).
-  const char* kShortestPaths = R"(
-    program shortest_paths;
-
-    table link(From, To, Cost);
-    table path_cost(From, To, Cost);
-    table shortest(From, To, Cost) keys(0, 1);
-
-    link("a", "b", 1);
-    link("b", "c", 2);
-    link("a", "c", 5);
-    link("c", "d", 1);
-    link("b", "d", 9);
-
-    p1 path_cost(F, T, C) :- link(F, T, C);
-    p2 path_cost(F, T, C) :- link(F, N, C1), path_cost(N, T, C2), C := C1 + C2;
-
-    s1 shortest(F, T, min<C>) :- path_cost(F, T, C);
-  )";
-
-  Engine dirty(MakeEngine());
-  EngineOptions exhaustive_opts = MakeEngine();
-  exhaustive_opts.disable_dirty_rule_scheduling = true;
-  Engine exhaustive(exhaustive_opts);
-
-  ASSERT_TRUE(dirty.InstallSource(kShortestPaths).ok());
-  ASSERT_TRUE(exhaustive.InstallSource(kShortestPaths).ok());
-
-  auto expect_same_fixpoint = [&](const std::string& when) {
-    std::vector<std::string> names = dirty.catalog().TableNames();
-    ASSERT_EQ(names, exhaustive.catalog().TableNames()) << when;
-    for (const std::string& name : names) {
-      EXPECT_EQ(RowSet(dirty, name), RowSet(exhaustive, name)) << when << ": table " << name;
-    }
-  };
-
-  dirty.Tick(0);
-  exhaustive.Tick(0);
-  expect_same_fixpoint("after seed tick");
-  // Sanity: the program actually derived the known shortest costs (a->d via b,c = 4).
-  EXPECT_TRUE(RowSet(dirty, "shortest").count(Tuple{Value("a"), Value("d"), Value(4)}) > 0);
-
-  // Incremental deltas: each new edge must propagate identically under both schedulers,
-  // including the min-aggregate improving an existing shortest cost (a->c drops 3 -> 1).
-  const Tuple new_edges[] = {
-      Tuple{Value("d"), Value("e"), Value(2)},
-      Tuple{Value("a"), Value("c"), Value(1)},
-  };
-  double now = 1;
-  for (const Tuple& edge : new_edges) {
-    ASSERT_TRUE(dirty.Enqueue("link", edge).ok());
-    ASSERT_TRUE(exhaustive.Enqueue("link", edge).ok());
-    dirty.Tick(now);
-    exhaustive.Tick(now);
-    now += 1;
-    expect_same_fixpoint("after inserting " + edge.ToString());
-  }
-  // With d->e (2) and the cheaper a->c (1): a->e goes a-c-d-e = 1 + 1 + 2.
-  EXPECT_TRUE(RowSet(dirty, "shortest").count(Tuple{Value("a"), Value("e"), Value(4)}) > 0);
-  EXPECT_TRUE(RowSet(dirty, "shortest").count(Tuple{Value("a"), Value("c"), Value(1)}) > 0);
-}
-
 }  // namespace
 }  // namespace boom
