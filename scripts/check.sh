@@ -13,7 +13,8 @@
 # label explicitly (metrics/tracing/profiling — see docs/OBSERVABILITY.md), the workload +
 # policy labels (open-loop generator determinism and the scheduler-policy matrix — see
 # docs/WORKLOADS.md), and the overload label (admission control, retry budgets, and the
-# metastable-failure scenario — see docs/CHAOS.md).
+# metastable-failure scenario — see docs/CHAOS.md). The T1/T2 code-size table (rules and
+# C++ glue per component) is diffed against its pinned golden right after the tests.
 # ASan smoke: rebuild with -DBOOM_SANITIZE=address, run the planner + telemetry + workload
 # + policy + overload tests under ASan (the tracer/registry hot paths are lock-free atomics
 # worth sanitizing; the generator, scheduler, and admission-gateway paths churn tuples hard),
@@ -51,6 +52,11 @@ cmake --build build -j "$JOBS"
 
 echo "==> tier-1 tests (ctest -LE chaos)"
 (cd build && ctest -LE chaos --output-on-failure -j "$JOBS")
+
+# T1/T2 counts rules and C++ glue straight from the sources, so its output is pinned: a
+# change in net lines re-pins tests/golden/table_codesize.txt deliberately.
+echo "==> T1/T2 golden (bench/table_codesize vs tests/golden/table_codesize.txt)"
+./build/bench/table_codesize | diff -u tests/golden/table_codesize.txt -
 
 echo "==> lint (ctest -L lint: olglint over olg/*.olg and all program families)"
 (cd build && ctest -L lint --output-on-failure -j "$JOBS")

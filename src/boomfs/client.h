@@ -142,7 +142,7 @@ class FsClient : public Actor {
   // Creates every prefix of `path` in order (each a dual-homed Mkdir); cb(true) iff every
   // prefix exists afterwards.
   void MkdirP(Cluster& cluster, const std::string& path, ResponseCb cb);
-  // Escape hatch for tooling (the partition rebalancer, tests): one namespace request with
+  // Escape hatch for tooling (migration requests to the partition map): one request with
   // an explicit target and request table (empty table = the client's configured table).
   // Bypasses routing entirely; a nonempty table also skips the fed_request column append.
   void RawOp(Cluster& cluster, const std::string& cmd, const std::string& path, Value arg,

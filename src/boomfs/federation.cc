@@ -1,12 +1,8 @@
 #include "src/boomfs/federation.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "src/base/logging.h"
-#include "src/base/strings.h"
 #include "src/boomfs/datanode.h"
 #include "src/boomfs/ha.h"
 #include "src/boomfs/nn_program.h"
@@ -71,7 +67,7 @@ fa6 delete fed_owned(Pid) :- fed_apply(Pid, _, _, M), fed_owned(Pid), Me := f_me
                              In := list_contains(M, Me), In == false;
 
 // Migration freeze: the frozen partition sheds (fr2) while its subtree is copied out; the
-// rebalancer unfreezes only after the new assignment has been broadcast.
+// migration coordinator unfreezes only after the new assignment has been broadcast.
 ff1 fed_frozen(Pid) :- fed_freeze(@Me, Pid);
 ff2 delete fed_frozen(Pid) :- fed_unfreeze(@Me, Pid), fed_frozen(Pid);
 
@@ -192,27 +188,48 @@ xp6 ns_response(@C, R, true, nil) :- do_xdrop(R, C, P), notin fqpath(P, _);
 // learner applies one log slot per tick, so any plain command in a later slot replays at
 // least one tick after the seal's fed_sealed row is visible. Both commands are acked
 // unconditionally (sealing a sealed partition and unsealing an open one are no-ops),
-// which keeps the rebalancer's retries idempotent.
+// which keeps the migration coordinator's resends idempotent.
 se1 fed_sealed(Pid)@next :- ns_request(@Me, _, _, "xr_seal", _, Pid);
 se2 ns_response(@C, R, true, nil) :- ns_request(@Me, R, C, "xr_seal", _, _);
 se3 delete fed_sealed(Pid) :- ns_request(@Me, _, _, "xr_unseal", _, Pid), fed_sealed(Pid);
 se4 ns_response(@C, R, true, nil) :- ns_request(@Me, R, C, "xr_unseal", _, _);
+
+// --- migration snapshot ---
+// xr_snapshot, Arg [Pid, NumPartitions, After], answers one page of what partition Pid
+// serves: up to 64 [Path, IsDir] pairs past the cursor After, in path order. An entry
+// belongs to Pid when its parent directory routes there, and a directory also when its
+// own path does (the child-serving copy). The coordinator sends it through the log after
+// the seal, so every replica that answers has applied the seal and no plain command for
+// Pid can change the pages; a full page means "ask again from its last path". xn1 is an
+// aggregate driven by its event alone, so namespace updates never evaluate it.
+event do_xsnap(ReqId, Client, Pid, N, After);
+event xr_snap_page(ReqId, Client, Entries);
+xd6 do_xsnap(R, C, Pid, N, After) :- ns_request(@Me, R, C, "xr_snapshot", _, A),
+                                     Pid := list_get(A, 0), N := list_get(A, 1),
+                                     After := list_get(A, 2);
+xn1 xr_snap_page(R, C, bottomk<64, E>) :- do_xsnap(R, C, Pid, N, After), fqpath(P, F),
+                                          P > After, P != "/", file(F, _, _, D),
+                                          K := route_pid(path_dirname(P), N),
+                                          Own := route_pid(P, N),
+                                          K == Pid || D && Own == Pid, E := [P, D];
+xn2 ns_response(@C, R, true, L) :- xr_snap_page(R, C, L);
+xn3 ns_response(@C, R, true, L) :- do_xsnap(R, C, _, _, _), notin xr_snap_page(R, _, _),
+                                   L := [];
 )olg";
 
-// The partition-map service: the sole authority for pid -> group assignment. Assignments
-// (pm_assign) carry explicit epochs chosen by the coordinator; the service accepts only
-// strictly newer ones, ratchets its global epoch, and broadcasts accepted rows to every
-// registered replica. An anti-entropy timer rebroadcasts the whole map so replicas that
-// missed an update (restart, dropped message) reconverge; the strict-epoch guard on the
-// replica side makes rebroadcasts idempotent.
+// The partition-map service: the sole authority for pid -> group assignment, and the
+// coordinator that migrates a partition between groups. Assignments (pm_assign) carry
+// explicit epochs; the service accepts only strictly newer ones, ratchets its global
+// epoch, and broadcasts accepted rows to every registered replica. An anti-entropy timer
+// rebroadcasts the whole map so replicas that missed an update (restart, dropped message)
+// reconverge; the strict-epoch guard on the replica side makes rebroadcasts idempotent.
 constexpr char kPartitionMapModule[] = R"olg(
-extern event pm_assign(Addr, Pid, Leader, Members, Epoch);
-extern event pm_freeze(Addr, Pid);
-extern event pm_unfreeze(Addr, Pid);
+extern event ns_request(Addr, ReqId, Client, Cmd, Path, Arg);
 
 table partition_map(Pid, Epoch, Leader, Members) keys(0);
 table pm_epoch(K, Epoch) keys(0);
 table pm_node(Addr) keys(0);
+event pm_assign(Addr, Pid, Leader, Members, Epoch);
 event fed_map_update(Addr, Pid, Epoch, Leader, Members, GlobalEpoch);
 event fed_freeze(Addr, Pid);
 event fed_unfreeze(Addr, Pid);
@@ -227,16 +244,172 @@ pa2 partition_map(Pid, E, L, M)@next :- pm_assign(@Me, Pid, L, M, E),
 pa3 pm_epoch(1, E) :- pm_assign(@Me, _, _, _, E), pm_epoch(1, Cur), E > Cur;
 pa4 fed_map_update(@N, Pid, E, L, M, E) :- pm_assign(@Me, Pid, L, M, E), pm_node(N);
 
-// Freeze/unfreeze relays go to every replica (a non-owner that sheds while frozen is
-// harmless: it simply answers retryable until the unfreeze lands).
-pf1 fed_freeze(@N, Pid) :- pm_freeze(@Me, Pid), pm_node(N);
-pf2 fed_unfreeze(@N, Pid) :- pm_unfreeze(@Me, Pid), pm_node(N);
-
 // Anti-entropy: rebroadcast the full map + global epoch every period.
 timer pm_tick(pm_rebroadcast_ms);
 pb1 fed_map_update(@N, Pid, E, L, M, G) :- pm_tick(_), partition_map(Pid, E, L, M),
                                            pm_node(N), pm_epoch(1, G);
+
+// --- partition migration ---
+// Request: ns_request(@Map, R, Client, "pm_migrate", _, [Pid, DestMembers]). The answer,
+// ns_response(@Client, R, Ok, _), comes once the migration has completed or aborted. One
+// migration per partition at a time (mq3); a partition already at the destination is
+// answered at once (mq2). The steps: freeze the partition everywhere; seal it through the
+// source group's log; page its entries out of the same log; unseal it at the
+// destination; make its directories there, parents first; move each file with the
+// cross-partition rename commands; assign it to the destination at pm_epoch + 1;
+// unfreeze.
+event ns_response(Addr, ReqId, Ok, Payload);
+event ha_request(Addr, ReqId, Client, Cmd, Path, Arg);
+event pm_migrate(ReqId, Client, Pid, Members);
+table mg_job(Pid, ReqId, Client, Src, Dst) keys(0);
+mq1 pm_migrate(R, Cl, Pid, M) :- ns_request(@Me, R, Cl, "pm_migrate", _, A),
+                                 Pid := list_get(A, 0), M := list_get(A, 1);
+mq2 ns_response(@Cl, R, true, nil) :- pm_migrate(R, Cl, Pid, M),
+                                      partition_map(Pid, _, _, M);
+mq3 ns_response(@Cl, R, false, "migration in progress") :- pm_migrate(R, Cl, Pid, _),
+                                                          mg_job(Pid, _, _, _, _);
+mq4 mg_job(Pid, R, Cl, Src, M)@next :- pm_migrate(R, Cl, Pid, M),
+                                      partition_map(Pid, _, _, Src), Src != M,
+                                      notin mg_job(Pid, _, _, _, _);
+
+// Each step is one command in a group's log: mg_op holds a partition's outstanding one.
+// It goes to every member (a follower forwards it to its leader, whose proposer drops
+// the copies), again on every pm_tick, and aborts the migration 4 s after it was issued
+// (mo3). The first answer settles it: copies from the other replicas (or from a second
+// log slot after a leader change) find no op left to match. A failed mkdir or create
+// turns into an exists probe (mo4): the entry may be left from an earlier, aborted run.
+table mg_op(Pid, Step, ReqId, Members, Cmd, Path, Arg, Since) keys(0);
+event mg_ack(Pid, Step, Payload);
+event mg_nack(Pid, Step, Cmd);
+event mg_abort(Pid, Step);
+mo1 ha_request(@N, R, Me, Cm, P, A) :- mg_op(_, _, R, G, Cm, P, A, _), pm_node(N),
+                                       In := list_contains(G, N), In == true,
+                                       Me := f_me();
+mo2 ha_request(@N, R, Me, Cm, P, A) :- pm_tick(_), mg_op(_, _, R, G, Cm, P, A, _),
+                                       pm_node(N), In := list_contains(G, N), In == true,
+                                       Me := f_me();
+ma1 mg_ack(Pid, S, min<Pay>) :- ns_response(@Me, R, true, Pay),
+                                mg_op(Pid, S, R, _, _, _, _, _);
+ma2 mg_nack(Pid, S, Cm) :- ns_response(@Me, R, false, _),
+                           mg_op(Pid, S, R, _, Cm, _, _, _), notin mg_ack(Pid, _, _);
+mo3 mg_abort(Pid, S) :- pm_tick(_), mg_op(Pid, S, _, _, _, _, _, T0), f_now() - T0 > 4000,
+                        notin mg_ack(Pid, _, _), notin mg_nack(Pid, _, _);
+ma3 delete mg_op(Pid, S, R, G, Cm, P, A, T) :- mg_ack(Pid, S, _),
+                                               mg_op(Pid, S, R, G, Cm, P, A, T);
+ma4 delete mg_op(Pid, S, R, G, Cm, P, A, T) :- mg_nack(Pid, S, _),
+                                               mg_op(Pid, S, R, G, Cm, P, A, T);
+ma5 delete mg_op(Pid, S, R, G, Cm, P, A, T) :- mg_abort(Pid, S),
+                                               mg_op(Pid, S, R, G, Cm, P, A, T);
+mo4 mg_op(Pid, S, R, G, "exists", P, nil, T)@next :- mg_nack(Pid, S, Cm),
+                                                    Cm == "mkdir" || Cm == "create",
+                                                    mg_op(Pid, S, _, G, _, P, _, _),
+                                                    R := f_unique_id(), T := f_now();
+
+// Freeze and seal. The seal is the migration fence: every command the source group ever
+// acked for Pid precedes it in that group's log, and every plain command for Pid after it
+// is dropped at replay (see the fenced HA bridge).
+ms1 fed_freeze(@N, Pid) :- mg_job(Pid, _, _, _, _), pm_node(N);
+ms2 mg_op(Pid, "seal", R, Src, "xr_seal", "", Pid, T) :- mg_job(Pid, _, _, Src, _),
+                                                        R := f_unique_id(), T := f_now();
+
+// Snapshot, one page per command. Each rides the log after the seal, so the pages list
+// a frozen partition. Rows are unpacked by recursion over the page index (mt4/mt5) into
+// mg_entry, the entries still to import; every ancestor of a moved entry is scaffolded
+// as a directory (mt7).
+table pm_nparts(K, N) keys(0);
+table mg_entry(Pid, Path, IsDir) keys(0, 1);
+event mg_snap(Pid, After);
+event mg_row(Pid, Page, I);
+mt0 pm_nparts(1, count<Pid>) :- partition_map(Pid, _, _, _);
+mt1 mg_snap(Pid, "") :- mg_ack(Pid, "seal", _);
+mt2 mg_snap(Pid, After) :- mg_ack(Pid, "snap", L), N := list_len(L), N == 64,
+                           E := list_get(L, 63), After := list_get(E, 0);
+mt3 mg_op(Pid, "snap", R, Src, "xr_snapshot", "", A, T)@next :-
+        mg_snap(Pid, After), mg_job(Pid, _, _, Src, _), pm_nparts(1, K),
+        A := [Pid, K, After], R := f_unique_id(), T := f_now();
+mt4 mg_row(Pid, L, 0) :- mg_ack(Pid, "snap", L), N := list_len(L), N > 0;
+mt5 mg_row(Pid, L, J) :- mg_row(Pid, L, I), J := I + 1, N := list_len(L), J < N;
+mt6 mg_entry(Pid, P, D) :- mg_row(Pid, L, I), E := list_get(L, I), P := list_get(E, 0),
+                           D := list_get(E, 1);
+mt7 mg_entry(Pid, D, true) :- mg_entry(Pid, P, _), D := path_dirname(P), D != "/";
+
+// The last page is in: reopen the partition at the destination (a seal left there by an
+// earlier migration away would fence the imports).
+mu1 mg_op(Pid, "open", R, Dst, "xr_unseal", "", Pid, T)@next :-
+        mg_ack(Pid, "snap", L), N := list_len(L), N < 64, mg_job(Pid, _, _, _, Dst),
+        R := f_unique_id(), T := f_now();
+
+// Import, one command at a time: directories in path order (a parent's path sorts before
+// its children's), then each file — xr_intent at the source, create and one xr_addchunk
+// per chunk at the destination, xr_commit at the source.
+table mg_next_dir(Pid, Path) keys(0);
+table mg_next_file(Pid, Path) keys(0);
+table mg_chunks(Pid, Path, Chunks, Next) keys(0);
+event mg_go(Pid);
+event mg_adopt(Pid);
+mi1 mg_next_dir(Pid, min<P>) :- mg_entry(Pid, P, true);
+mi2 mg_next_file(Pid, min<P>) :- mg_entry(Pid, P, false);
+mi3 mg_go(Pid)@next :- mg_ack(Pid, S, Pay), Pay != false,
+                       S == "open" || S == "dir" || S == "commit";
+mi4 delete mg_entry(Pid, P, D) :- mg_ack(Pid, S, Pay), Pay != false,
+                                  S == "dir" || S == "commit",
+                                  mg_op(Pid, S, _, _, _, P, _, _), mg_entry(Pid, P, D);
+mi5 mg_op(Pid, "dir", R, Dst, "mkdir", D, nil, T)@next :-
+        mg_go(Pid), mg_next_dir(Pid, D), mg_job(Pid, _, _, _, Dst),
+        R := f_unique_id(), T := f_now();
+mi6 mg_op(Pid, "intent", R, Src, "xr_intent", P, nil, T)@next :-
+        mg_go(Pid), notin mg_next_dir(Pid, _), mg_next_file(Pid, P),
+        mg_job(Pid, _, _, Src, _), R := f_unique_id(), T := f_now();
+mf1 mg_chunks(Pid, P, L, 0) :- mg_ack(Pid, "intent", Pay),
+                               mg_op(Pid, "intent", _, _, _, P, _, _),
+                               L := list_get(Pay, 1);
+mf2 mg_op(Pid, "create", R, Dst, "create", P, nil, T)@next :-
+        mg_ack(Pid, "intent", _), mg_op(Pid, "intent", _, _, _, P, _, _),
+        mg_job(Pid, _, _, _, Dst), R := f_unique_id(), T := f_now();
+mf3 mg_adopt(Pid)@next :- mg_ack(Pid, S, Pay), Pay != false,
+                          S == "create" || S == "adopt";
+mf4 mg_chunks(Pid, P, L, J)@next :- mg_ack(Pid, "adopt", _), mg_chunks(Pid, P, L, I),
+                                    J := I + 1;
+mf5 mg_op(Pid, "adopt", R, Dst, "xr_addchunk", P, Ch, T)@next :-
+        mg_adopt(Pid), mg_chunks(Pid, P, L, I), N := list_len(L), I < N,
+        Ch := list_get(L, I), mg_job(Pid, _, _, _, Dst), R := f_unique_id(), T := f_now();
+mf6 mg_op(Pid, "commit", R, Src, "xr_commit", P, nil, T)@next :-
+        mg_adopt(Pid), mg_chunks(Pid, P, L, I), N := list_len(L), I >= N,
+        mg_job(Pid, _, _, Src, _), R := f_unique_id(), T := f_now();
+
+// Nothing left to import: assign the partition to the destination at pm_epoch + 1 (led
+// by its first member, as at setup). The unfreeze follows the accepted assignment's
+// broadcast on every FIFO link, so each replica applies the new map first.
+event mg_end(Pid, Ok);
+mp1 pm_assign(@Me, Pid, L, Dst, E)@next :- mg_go(Pid), notin mg_next_dir(Pid, _),
+                                           notin mg_next_file(Pid, _),
+                                           mg_job(Pid, _, _, _, Dst), pm_epoch(1, Cur),
+                                           E := Cur + 1, L := list_get(Dst, 0),
+                                           Me := f_me();
+mp2 mg_end(Pid, true)@next :- pm_assign(@Me, Pid, _, M, _), mg_job(Pid, _, _, _, M);
+
+// Abort: a step that failed for good, or ran out of time, reopens the source partition
+// (xr_unseal) and ends the migration with the map unchanged. Files already committed at
+// the destination are then unreachable through routing until a later migration.
+mx1 mg_abort(Pid, S) :- mg_nack(Pid, S, Cm), Cm != "mkdir", Cm != "create";
+mx2 mg_abort(Pid, S) :- mg_ack(Pid, S, false);
+mx3 mg_op(Pid, "undo", R, Src, "xr_unseal", "", Pid, T)@next :-
+        mg_abort(Pid, S), S != "undo", mg_job(Pid, _, _, Src, _),
+        R := f_unique_id(), T := f_now();
+mx4 mg_end(Pid, false)@next :- mg_abort(Pid, "undo");
+mx5 mg_end(Pid, false)@next :- mg_ack(Pid, "undo", _);
+
+// End: unfreeze, answer the requester, forget the job.
+me1 fed_unfreeze(@N, Pid) :- mg_end(Pid, _), mg_job(Pid, _, _, _, _), pm_node(N);
+me2 ns_response(@Cl, R, Ok, Pay) :- mg_end(Pid, Ok), mg_job(Pid, R, Cl, _, _),
+                                    Pay := if(Ok, nil, "migration aborted");
+me3 delete mg_job(Pid, R, Cl, S, D) :- mg_end(Pid, _), mg_job(Pid, R, Cl, S, D);
+me4 delete mg_entry(Pid, P, D) :- mg_end(Pid, _), mg_entry(Pid, P, D);
+me5 delete mg_chunks(Pid, P, L, I) :- mg_end(Pid, _), mg_chunks(Pid, P, L, I);
 )olg";
+
+// How long the admin client waits for a migration's answer.
+constexpr double kMigrationAnswerMs = 120000;
 
 // Removes a rule by name (chaos bug variants are built by deleting steps of a protocol).
 void StripProgramRule(Program* program, const std::string& name) {
@@ -256,25 +429,6 @@ Value MembersValue(const std::vector<std::string>& members) {
     list.push_back(Value(m));
   }
   return Value(std::move(list));
-}
-
-// Reads every row of `table` on `node` (empty when the node is dead or lacks the table).
-std::vector<Tuple> ReadEngineTable(Cluster& cluster, const std::string& node,
-                                   const std::string& table) {
-  std::vector<Tuple> rows;
-  if (!cluster.IsAlive(node)) {
-    return rows;
-  }
-  Engine* engine = cluster.engine(node);
-  if (engine == nullptr) {
-    return rows;
-  }
-  const Table* t = engine->catalog().Find(table);
-  if (t == nullptr) {
-    return rows;
-  }
-  t->ForEach([&rows](const Tuple& row) { rows.push_back(row); });
-  return rows;
 }
 
 }  // namespace
@@ -460,10 +614,12 @@ FederatedFsHandles SetupFederatedFs(Cluster& cluster, const FederatedFsOptions& 
     cluster.AddActor(std::move(client));
   }
 
-  // Raw-op admin client for the rebalancer and tests: no routing, explicit targets only.
+  // Raw-op admin client that sends migration requests to the map node. The coordinator
+  // answers only once a migration has completed or aborted, and its per-step deadlines
+  // bound that, so the admin's timeout is only a backstop for a dead map node.
   FsClientOptions admin_opts;
-  admin_opts.namenode = all[0];
-  admin_opts.request_timeout_ms = options.client_timeout_ms;
+  admin_opts.namenode = handles.pmap;
+  admin_opts.request_timeout_ms = kMigrationAnswerMs;
   auto admin = std::make_unique<FsClient>(options.prefix + "_admin", admin_opts);
   handles.admin = admin.get();
   cluster.AddActor(std::move(admin));
@@ -475,365 +631,39 @@ std::string GroupLeader(Cluster& cluster, const std::vector<std::string>& member
     if (!cluster.IsAlive(m)) {
       continue;
     }
-    for (const Tuple& row : ReadEngineTable(cluster, m, "leader")) {
-      if (row.size() == 2 && row[1].is_string() && cluster.IsAlive(row[1].as_string())) {
-        return row[1].as_string();
-      }
+    std::string leader;
+    if (const Table* t = cluster.engine(m)->catalog().Find("leader")) {
+      t->ForEach([&cluster, &leader](const Tuple& row) {
+        if (row.size() == 2 && row[1].is_string() &&
+            cluster.IsAlive(row[1].as_string())) {
+          leader = row[1].as_string();
+        }
+      });
     }
     // Election still converging (or the recorded leader is dead): any alive member
     // forwards ha_request to whoever wins.
-    return m;
+    return leader.empty() ? m : leader;
   }
   return "";
 }
 
-namespace {
-
-// One online partition migration, driven as an asynchronous chain of scheduled steps and
-// admin-client ops (RunUntil is not reentrant, so nothing here blocks the simulation).
-class Rebalance : public std::enable_shared_from_this<Rebalance> {
- public:
-  Rebalance(Cluster& cluster, FedRebalanceOptions opts, std::function<void(bool)> done)
-      : cluster_(cluster), opts_(std::move(opts)), done_(std::move(done)) {
-    BOOM_CHECK(opts_.admin != nullptr) << "rebalance needs an admin client";
-  }
-
-  void Start() {
-    SendPm("pm_freeze");
-    // Seal the partition in the SOURCE group's replicated log. The seal is the ordering
-    // barrier that makes the snapshot complete: every command acked by the source
-    // precedes the seal in the log, and every plain command after it is dropped at
-    // replay — including one a crashed ex-leader re-proposes when it recovers after the
-    // partition has already migrated away (the zombie-write fence).
-    auto self = shared_from_this();
-    Op(&opts_.source, kCmdXrSeal, "", Value(opts_.pid), [self](bool ok, const Value&) {
-      if (!ok) {
-        self->FailUnseal();
-        return;
-      }
-      self->cluster_.ScheduleAfter(self->opts_.settle_ms, [self] { self->Snapshot(); });
-    });
-  }
-
- private:
-  using OpCb = std::function<void(bool, const Value&)>;
-
-  void SendPm(const std::string& table) {
-    cluster_.Send(opts_.admin->address(), opts_.pmap, table,
-                  Tuple{Value(opts_.pmap), Value(opts_.pid)});
-  }
-
-  void Fail() {
-    // Abort: the map stays with the source group; unfreeze and report. Files already
-    // committed to the destination are orphaned from routing — callers tracking per-path
-    // state treat the whole partition as uncertain (see header).
-    SendPm("pm_unfreeze");
-    done_(false);
-  }
-
-  // Abort after the seal may have landed: reopen the source partition (best-effort —
-  // unsealing an open partition is an acked no-op) so the still-owning source group can
-  // serve it again, then unfreeze and report.
-  void FailUnseal() {
-    auto self = shared_from_this();
-    Op(&opts_.source, kCmdXrUnseal, "", Value(opts_.pid),
-       [self](bool, const Value&) { self->Fail(); });
-  }
-
-  // Snapshot the source group's committed namespace and compute what moves: entries the
-  // partition serves (routing key = parent dir) plus child-serving directory copies
-  // (routing key = the dir's own path), and every ancestor needed as scaffolding.
-  void Snapshot() {
-    std::string source = GroupLeader(cluster_, opts_.source);
-    if (source.empty()) {
-      FailUnseal();
-      return;
-    }
-    // The seal op was acked by SOME replica; only snapshot a leader that has replayed up
-    // to (at least) the seal, so every command the group ever acked for this partition
-    // is already in the tables read below.
-    bool sealed = false;
-    for (const Tuple& row : ReadEngineTable(cluster_, source, "fed_sealed")) {
-      if (!row.empty() && row[0].is_int() && row[0].as_int() == opts_.pid) {
-        sealed = true;
-      }
-    }
-    if (!sealed) {
-      if (++seal_waits_ > opts_.op_retries) {
-        FailUnseal();
-        return;
-      }
-      auto self = shared_from_this();
-      cluster_.ScheduleAfter(opts_.retry_ms, [self] { self->Snapshot(); });
-      return;
-    }
-    std::map<int64_t, bool> is_dir;
-    for (const Tuple& row : ReadEngineTable(cluster_, source, "file")) {
-      if (row.size() == 4) {
-        is_dir[row[0].as_int()] = row[3].Truthy();
-      }
-    }
-    std::set<std::string> dir_set;
-    std::vector<std::string> files;
-    for (const Tuple& row : ReadEngineTable(cluster_, source, "fqpath")) {
-      if (row.size() != 2 || !row[0].is_string()) {
-        continue;
-      }
-      const std::string path = row[0].as_string();
-      if (path == "/") {
-        continue;
-      }
-      auto kind = is_dir.find(row[1].as_int());
-      if (kind == is_dir.end()) {
-        continue;  // mid-apply inconsistency; the settle window makes this rare
-      }
-      bool keyed_here = RoutingPid(PathDirname(path), opts_.num_partitions) == opts_.pid;
-      bool child_copy =
-          kind->second && RoutingPid(path, opts_.num_partitions) == opts_.pid;
-      if (!keyed_here && !child_copy) {
-        continue;
-      }
-      if (kind->second) {
-        dir_set.insert(path);
-      } else {
-        files.push_back(path);
-      }
-    }
-    std::set<std::string> all_dirs = dir_set;
-    auto add_ancestors = [&all_dirs](const std::string& path) {
-      for (std::string p = PathDirname(path); !p.empty() && p != "/"; p = PathDirname(p)) {
-        all_dirs.insert(p);
-      }
-    };
-    for (const std::string& f : files) {
-      add_ancestors(f);
-    }
-    for (const std::string& d : dir_set) {
-      add_ancestors(d);
-    }
-    dirs_.assign(all_dirs.begin(), all_dirs.end());
-    std::sort(dirs_.begin(), dirs_.end(), [](const std::string& a, const std::string& b) {
-      size_t da = static_cast<size_t>(std::count(a.begin(), a.end(), '/'));
-      size_t db = static_cast<size_t>(std::count(b.begin(), b.end(), '/'));
-      return da != db ? da < db : a < b;  // parents before children
-    });
-    std::sort(files.begin(), files.end());
-    files_ = std::move(files);
-    // Reopen the partition at the DESTINATION before importing: if an earlier migration
-    // ever moved this pid away from `dest`, its seal is still in that group's replayed
-    // state and would fence the plain mkdir/create imports below. (Unsealing a
-    // never-sealed partition is an acked no-op.)
-    auto self = shared_from_this();
-    Op(&opts_.dest, kCmdXrUnseal, "", Value(opts_.pid), [self](bool ok, const Value&) {
-      if (!ok) {
-        self->FailUnseal();
-        return;
-      }
-      self->NextDir();
-    });
-  }
-
-  // One migration op with bounded retries. The target group's leader is re-resolved every
-  // attempt, and ops ride ha_request (through Paxos), so the migration survives a
-  // failover of either group and bypasses the frozen-partition intake gate.
-  void Op(const std::vector<std::string>* group, const std::string& cmd,
-          const std::string& path, Value arg, OpCb k) {
-    OpAttempt(group, cmd, path, std::move(arg), 0, std::move(k));
-  }
-
-  void OpAttempt(const std::vector<std::string>* group, const std::string& cmd,
-                 const std::string& path, Value arg, int attempt, OpCb k) {
-    auto self = shared_from_this();
-    std::string target = GroupLeader(cluster_, *group);
-    if (target.empty()) {
-      OpRetry(group, cmd, path, std::move(arg), attempt, std::move(k), Value());
-      return;
-    }
-    opts_.admin->RawOp(
-        cluster_, cmd, path, arg,
-        [self, group, cmd, path, arg, attempt, k](bool ok, const Value& pay) {
-          if (ok) {
-            k(true, pay);
-            return;
-          }
-          self->OpRetry(group, cmd, path, arg, attempt, k, pay);
-        },
-        target, "ha_request");
-  }
-
-  void OpRetry(const std::vector<std::string>* group, const std::string& cmd,
-               const std::string& path, Value arg, int attempt, OpCb k,
-               const Value& last) {
-    if (attempt + 1 >= opts_.op_retries) {
-      k(false, last);
-      return;
-    }
-    auto self = shared_from_this();
-    cluster_.ScheduleAfter(opts_.retry_ms, [self, group, cmd, path, arg, attempt, k] {
-      self->OpAttempt(group, cmd, path, arg, attempt + 1, k);
-    });
-  }
-
-  // Mkdir at the destination, treating already-exists (surfaced as "mkdir failed") as
-  // success via an exists probe — re-runs after a partial earlier migration stay clean.
-  void NextDir() {
-    if (next_dir_ >= dirs_.size()) {
-      NextFile();
-      return;
-    }
-    const std::string path = dirs_[next_dir_];
-    auto self = shared_from_this();
-    Op(&opts_.dest, kCmdMkdir, path, Value(), [self, path](bool ok, const Value&) {
-      if (ok) {
-        ++self->next_dir_;
-        self->NextDir();
-        return;
-      }
-      self->Op(&self->opts_.dest, kCmdExists, path, Value(),
-               [self](bool ok2, const Value& present) {
-                 if (ok2 && present.Truthy()) {
-                   ++self->next_dir_;
-                   self->NextDir();
-                   return;
-                 }
-                 self->FailUnseal();
-               });
-    });
-  }
-
-  // Move one file through the xr two-phase protocol: intent at the source, create+adopt
-  // at the destination (same path — this is an ownership move), commit at the source.
-  void NextFile() {
-    if (next_file_ >= files_.size()) {
-      Publish();
-      return;
-    }
-    const std::string path = files_[next_file_];
-    auto self = shared_from_this();
-    Op(&opts_.source, kCmdXrIntent, path, Value(), [self, path](bool ok, const Value& pay) {
-      if (!ok || !pay.is_list() || pay.as_list().size() != 2 ||
-          !pay.as_list()[1].is_list()) {
-        self->FailUnseal();
-        return;
-      }
-      self->ImportFile(path, pay.as_list()[1].as_list());
-    });
-  }
-
-  void ImportFile(const std::string& path, ValueList chunks) {
-    auto self = shared_from_this();
-    Op(&opts_.dest, kCmdCreate, path, Value(),
-       [self, path, chunks](bool ok, const Value&) {
-         if (ok) {
-           self->AdoptChunk(path, chunks, 0);
-           return;
-         }
-         // Possibly created by an earlier partial run; adoption is idempotent.
-         self->Op(&self->opts_.dest, kCmdExists, path, Value(),
-                  [self, path, chunks](bool ok2, const Value& present) {
-                    if (ok2 && present.Truthy()) {
-                      self->AdoptChunk(path, chunks, 0);
-                      return;
-                    }
-                    self->FailUnseal();
-                  });
-       });
-  }
-
-  void AdoptChunk(const std::string& path, ValueList chunks, size_t index) {
-    if (index >= chunks.size()) {
-      CommitFile(path);
-      return;
-    }
-    auto self = shared_from_this();
-    Op(&opts_.dest, kCmdXrAddChunk, path, chunks[index],
-       [self, path, chunks, index](bool ok, const Value&) {
-         if (!ok) {
-           self->FailUnseal();
-           return;
-         }
-         self->AdoptChunk(path, chunks, index + 1);
-       });
-  }
-
-  void CommitFile(const std::string& path) {
-    auto self = shared_from_this();
-    Op(&opts_.source, kCmdXrCommit, path, Value(), [self](bool ok, const Value&) {
-      if (!ok) {
-        self->FailUnseal();
-        return;
-      }
-      ++self->next_file_;
-      self->NextFile();
-    });
-  }
-
-  // Publish the new assignment with a bumped epoch, then unfreeze after the broadcast has
-  // outrun any straggler intake at the old group.
-  void Publish() {
-    int64_t epoch = 1;
-    for (const Tuple& row : ReadEngineTable(cluster_, opts_.pmap, "pm_epoch")) {
-      if (row.size() == 2 && row[1].is_numeric()) {
-        epoch = row[1].as_int() + 1;
-      }
-    }
-    cluster_.Send(opts_.admin->address(), opts_.pmap, "pm_assign",
-                  Tuple{Value(opts_.pmap), Value(opts_.pid),
-                        Value(GroupLeader(cluster_, opts_.dest)),
-                        MembersValue(opts_.dest), Value(epoch)});
-    auto self = shared_from_this();
-    cluster_.ScheduleAfter(100, [self] {
-      self->SendPm("pm_unfreeze");
-      self->done_(true);
-    });
-  }
-
-  Cluster& cluster_;
-  FedRebalanceOptions opts_;
-  std::function<void(bool)> done_;
-  std::vector<std::string> dirs_;
-  std::vector<std::string> files_;
-  size_t next_dir_ = 0;
-  size_t next_file_ = 0;
-  int seal_waits_ = 0;  // Snapshot() polls of the source leader for the applied seal
-};
-
-}  // namespace
-
-void StartRebalance(Cluster& cluster, const FedRebalanceOptions& options,
-                    std::function<void(bool ok)> done) {
-  auto job = std::make_shared<Rebalance>(cluster, options, std::move(done));
-  job->Start();
+void StartRebalance(Cluster& cluster, const FederatedFsHandles& handles, int64_t pid,
+                    int dest_group, std::function<void(bool ok)> done) {
+  BOOM_CHECK(pid >= 0 && pid < handles.num_partitions);
+  BOOM_CHECK(dest_group >= 0 && dest_group < static_cast<int>(handles.groups.size()));
+  const std::vector<std::string>& dest = handles.groups[static_cast<size_t>(dest_group)];
+  Value request(ValueList{Value(pid), MembersValue(dest)});
+  handles.admin->RawOp(
+      cluster, kCmdPmMigrate, "", std::move(request),
+      [done = std::move(done)](bool ok, const Value&) { done(ok); }, handles.pmap,
+      kNsRequest);
 }
 
 bool RebalancePartitionSync(Cluster& cluster, FederatedFsHandles& handles, int64_t pid,
                             int dest_group, double timeout_ms) {
-  BOOM_CHECK(dest_group >= 0 && dest_group < static_cast<int>(handles.groups.size()));
-  // Current owner: the map service's row for `pid` (fall back to the recorded initial
-  // assignment if the service is unreadable).
-  int src_group = handles.pid_group[static_cast<size_t>(pid)];
-  for (const Tuple& row : ReadEngineTable(cluster, handles.pmap, "partition_map")) {
-    if (row.size() != 4 || row[0].as_int() != pid || !row[3].is_list() ||
-        row[3].as_list().empty()) {
-      continue;
-    }
-    const std::string& first = row[3].as_list()[0].as_string();
-    for (size_t g = 0; g < handles.groups.size(); ++g) {
-      if (!handles.groups[g].empty() && handles.groups[g][0] == first) {
-        src_group = static_cast<int>(g);
-      }
-    }
-  }
-  FedRebalanceOptions opts;
-  opts.pmap = handles.pmap;
-  opts.source = handles.groups[static_cast<size_t>(src_group)];
-  opts.dest = handles.groups[static_cast<size_t>(dest_group)];
-  opts.pid = pid;
-  opts.num_partitions = handles.num_partitions;
-  opts.admin = handles.admin;
   bool finished = false;
   bool ok = false;
-  StartRebalance(cluster, opts, [&finished, &ok](bool r) {
+  StartRebalance(cluster, handles, pid, dest_group, [&finished, &ok](bool r) {
     finished = true;
     ok = r;
   });

@@ -19,11 +19,14 @@
 // create + xr_addchunk at the destination, xr_commit tombstoning the source; xr_drop /
 // xr_abort unwind) — see src/boomfs/protocol.h and FsClient::Rename.
 //
-// Online rebalance (StartRebalance): freeze the partition, copy its directory subtrees to
-// the destination group (scaffold dirs, then per-file xr intent/commit), publish the new
-// assignment with a bumped epoch, unfreeze. Chaos invariant checkers
-// (src/chaos/invariants.h: FedNamespaceChecker / FedEpochChecker) watch for lost or
-// duplicated namespace entries and epoch regressions throughout.
+// Online rebalance is a program too: the partition-map node runs a migration coordinator
+// (rules next to partition_map) that takes one request and drives the whole migration
+// through the groups' replicated logs — freeze, seal at the source, snapshot the sealed
+// partition in pages through the same log, unseal at the destination, make directories
+// there, move each file with the xr commands, assign the partition at epoch+1, unfreeze.
+// StartRebalance only sends that request and reports its answer. Chaos invariant
+// checkers (src/chaos/invariants.h: FedNamespaceChecker / FedEpochChecker) watch for lost
+// or duplicated namespace entries and epoch regressions throughout.
 
 #ifndef SRC_BOOMFS_FEDERATION_H_
 #define SRC_BOOMFS_FEDERATION_H_
@@ -103,9 +106,9 @@ struct FederatedFsHandles {
   std::string pmap;
   std::vector<std::string> datanodes;
   std::vector<FsClient*> clients;        // fed-routed; owned by the cluster
-  FsClient* admin = nullptr;             // raw-op client (rebalancer/tests); cluster-owned
+  FsClient* admin = nullptr;             // sends migration requests; cluster-owned
   std::shared_ptr<FedMapCache> cache;    // routing cache shared by all fed clients
-  std::vector<int> pid_group;            // initial pid -> group assignment
+  std::vector<int> pid_group;            // pid -> group (initial, then as migrated)
   int num_partitions = 0;
 
   // All replica addresses of every group, flattened (group-major).
@@ -118,38 +121,30 @@ struct FederatedFsHandles {
 // `num_clients` federated clients sharing one map cache seeded with the epoch-0 map.
 FederatedFsHandles SetupFederatedFs(Cluster& cluster, const FederatedFsOptions& options);
 
-// The group's current Paxos leader, read from the `leader` table of the first alive
+// Observer helper for invariant checkers, tests and benches, never used by the protocol:
+// the group's current Paxos leader, read from the `leader` table of the first alive
 // member ("" when the whole group is down; falls back to the first alive member while an
 // election is still converging).
 std::string GroupLeader(Cluster& cluster, const std::vector<std::string>& members);
 
 // --- online rebalance ---
 
-struct FedRebalanceOptions {
-  std::string pmap;
-  std::vector<std::string> source;  // current owner group's replicas
-  std::vector<std::string> dest;    // new owner group's replicas
-  int64_t pid = 0;
-  int num_partitions = 0;
-  FsClient* admin = nullptr;  // issues the migration ops (RawOp over ha_request)
-  double settle_ms = 300;     // freeze -> snapshot delay (in-flight commands drain)
-  int op_retries = 8;         // per-op attempts before the migration aborts
-  double retry_ms = 150;      // delay between per-op attempts
-};
-
-// Asynchronously migrates partition `pid` from `source` to `dest`: freeze -> settle ->
-// snapshot the source namespace -> scaffold ancestor dirs + copy subtree dirs at the
-// destination -> move each file via the xr two-phase protocol -> publish the new
-// assignment (epoch+1) -> unfreeze -> done(true). Any op exhausting its retries aborts
-// the migration (unfreeze, map unchanged) and reports done(false); entries already
-// committed to the destination are then orphaned from the routed namespace — callers that
-// track per-path state (the chaos scenario) mark the partition's paths uncertain.
-void StartRebalance(Cluster& cluster, const FedRebalanceOptions& options,
-                    std::function<void(bool ok)> done);
+// Asks the partition-map node to migrate partition `pid` to group `dest_group` and calls
+// done(ok) with its answer. The coordinator freezes the partition, seals it in the source
+// group's log, snapshots it through the same log, unseals it at the destination, makes
+// its directories there (ancestors included), moves each file through the xr commands,
+// assigns it to the destination at epoch+1 and unfreezes it. A step that fails for good,
+// or goes unanswered for 4 s, aborts the migration: the source is unsealed, the map is
+// left unchanged and the partition unfrozen, and done(false) follows. Files already
+// committed to the destination are then orphaned from the routed namespace, so callers
+// that track per-path state (the chaos scenario) mark the partition's paths uncertain.
+void StartRebalance(Cluster& cluster, const FederatedFsHandles& handles, int64_t pid,
+                    int dest_group, std::function<void(bool ok)> done);
 
 // Synchronous wrapper for tests/benches: drives the cluster in RunUntil quanta until the
-// migration completes (true) or `timeout_ms` of virtual time passes (false). Not callable
-// from inside an event callback (RunUntil is not reentrant).
+// migration completes (true) or `timeout_ms` of virtual time passes (false), and records
+// the new owner in handles.pid_group. Not callable from inside an event callback
+// (RunUntil is not reentrant).
 bool RebalancePartitionSync(Cluster& cluster, FederatedFsHandles& handles, int64_t pid,
                             int dest_group, double timeout_ms = 60000);
 

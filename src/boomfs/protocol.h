@@ -91,6 +91,13 @@ inline constexpr char kCmdXrDrop[] = "xr_drop";
 // partition, e.g. at the destination group or when a migration aborts.
 inline constexpr char kCmdXrSeal[] = "xr_seal";
 inline constexpr char kCmdXrUnseal[] = "xr_unseal";
+// xr_snapshot (Arg [Pid, NumPartitions, After]) rides the log after the seal and answers
+// one page of the partition's entries; only the migration coordinator's rules send it.
+//
+// Partition migration request, addressed to the partition-map node:
+//   ns_request(Map, ReqId, Client, "pm_migrate", "", [Pid, DestMembers]), answered with
+//   ns_response(Client, ReqId, Ok, _) once the migration has completed or aborted.
+inline constexpr char kCmdPmMigrate[] = "pm_migrate";
 
 // Data plane.
 inline constexpr char kDnWrite[] = "dn_write";

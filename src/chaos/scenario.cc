@@ -636,11 +636,11 @@ class OverloadScenario : public ChaosScenario {
 // Two groups of three replicas serve an 8-partition namespace behind the partition-map
 // service while clients churn files (create/exists/rename/delete, renames deliberately
 // cross-directory so the two-phase xr protocol fires) and, mid-run, partition 0 is
-// migrated to the other group (StartRebalance) — the split-during-churn composition. The
-// random faults are crashes and partitions of NameNode REPLICAS only: the contract under
-// test is that group failover and the migration protocol never lose, duplicate, or
-// resurrect an acknowledged namespace entry (FedNamespaceChecker) and that routing epochs
-// only ever move forward (FedEpochChecker).
+// migrated to the other group by the map node's migration coordinator (StartRebalance) —
+// the split-during-churn composition. The random faults are crashes and partitions of
+// NameNode REPLICAS only: the contract under test is that group failover and the
+// migration protocol never lose, duplicate, or resurrect an acknowledged namespace entry
+// (FedNamespaceChecker) and that routing epochs only ever move forward (FedEpochChecker).
 //
 // The "split-rename" bug variant strips the xr_commit delete rules (xc2/xc3): a committed
 // cross-partition rename acks the client but leaves the source entry behind, so renamed-
@@ -700,23 +700,16 @@ class FederationScenario : public ChaosScenario {
     }
 
     // Mid-run migration: partition 0 moves to the other group while the churn continues.
-    // An aborted migration (leader churn can exhaust the per-op retries) leaves committed
-    // destination entries orphaned from the routed namespace, so its partition's paths
-    // stop carrying obligations.
+    // An aborted migration (a step can go unanswered past its deadline under leader
+    // churn) leaves committed destination entries orphaned from the routed namespace, so
+    // its partition's paths stop carrying obligations.
     cluster.ScheduleAt(horizon_ms() * 0.45, [this, &cluster, work] {
-      FedRebalanceOptions reb;
-      reb.pmap = handles_.pmap;
-      int source = handles_.pid_group[0];
-      reb.source = handles_.groups[static_cast<size_t>(source)];
-      reb.dest = handles_.groups[static_cast<size_t>(1 - source)];
-      reb.pid = 0;
-      reb.num_partitions = kNumPartitions;
-      reb.admin = handles_.admin;
-      StartRebalance(cluster, reb, [work](bool ok) {
-        if (!ok) {
-          work->model->uncertain_pids.insert(0);
-        }
-      });
+      StartRebalance(cluster, handles_, /*pid=*/0, 1 - handles_.pid_group[0],
+                     [work](bool ok) {
+                       if (!ok) {
+                         work->model->uncertain_pids.insert(0);
+                       }
+                     });
     });
 
     checkers_.push_back(std::make_unique<FedEpochChecker>(model));

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/base/strings.h"
 #include "src/boomfs/boomfs.h"
 #include "src/boomfs/federation.h"
 #include "src/boomfs/protocol.h"
@@ -295,6 +296,233 @@ TEST(FederatedFsTest, RebalanceMigratesPartitionAndClientsReRoute) {
     EXPECT_TRUE(dest_paths.count(path)) << path;
     EXPECT_FALSE(src_paths.count(path)) << path;
   }
+}
+
+// A directory /n<a>/m<b>/k<c> whose own path routes to partition 0 while both of its
+// ancestors' own paths route to other partitions owned by partition 0's group, so the
+// destination group has no copy of /n<a>/m<b> until a migration scaffolds it.
+std::string NestedDirOnPidZero(const FederatedFsHandles& handles) {
+  auto group_of = [&handles](const std::string& path) {
+    int64_t pid = RoutingPid(path, handles.num_partitions);
+    return handles.pid_group[static_cast<size_t>(pid)];
+  };
+  for (int a = 0; a < 32; ++a) {
+    std::string top = "/n" + std::to_string(a);
+    if (RoutingPid(top, handles.num_partitions) == 0 ||
+        group_of(top) != handles.pid_group[0]) {
+      continue;
+    }
+    for (int b = 0; b < 32; ++b) {
+      std::string mid = top + "/m" + std::to_string(b);
+      if (RoutingPid(mid, handles.num_partitions) == 0 ||
+          group_of(mid) != handles.pid_group[0]) {
+        continue;
+      }
+      for (int c = 0; c < 32; ++c) {
+        std::string leaf = mid + "/k" + std::to_string(c);
+        if (RoutingPid(leaf, handles.num_partitions) == 0) {
+          return leaf;
+        }
+      }
+    }
+  }
+  ADD_FAILURE() << "no nested directory on partition 0";
+  return "";
+}
+
+// Every file of `paths` exists through routed lookups and reads back its own name.
+void ExpectRoutedFiles(SyncFs& fs, const std::vector<std::string>& paths) {
+  for (const std::string& path : paths) {
+    std::string data;
+    ASSERT_TRUE(fs.ReadFile(path, &data)) << path;
+    EXPECT_EQ(data, "data:" + path);
+  }
+}
+
+// Migrates partition 0 to the other group and back. The way out scaffolds a nested
+// subtree whose ancestors route to other partitions; the way back must reopen the
+// partition at its first owner, which the first migration left sealed.
+TEST(FederatedFsTest, RoundTripMigrationScaffoldsNestedSubtree) {
+  Cluster cluster(919);
+  FederatedFsOptions opts;
+  opts.chunk_size = 16;
+  FederatedFsHandles handles = SetupFederatedFs(cluster, opts);
+  cluster.RunUntil(1500);
+  SyncFs fs(cluster, handles.clients[0]);
+
+  const std::string leaf = NestedDirOnPidZero(handles);
+  ASSERT_FALSE(leaf.empty());
+  const std::string mid = PathDirname(leaf);
+  // A subdirectory whose own entries stay with partition 0's group too: its child-serving
+  // copy would otherwise scaffold `mid` at the other group.
+  std::string sub;
+  for (int k = 0; sub.empty(); ++k) {
+    std::string cand = leaf + "/s" + std::to_string(k);
+    int64_t pid = RoutingPid(cand, handles.num_partitions);
+    if (handles.pid_group[static_cast<size_t>(pid)] == handles.pid_group[0]) {
+      sub = cand;
+    }
+  }
+  ASSERT_TRUE(fs.Mkdir(PathDirname(mid)));
+  ASSERT_TRUE(fs.Mkdir(mid));
+  ASSERT_TRUE(fs.Mkdir(leaf));
+  ASSERT_TRUE(fs.Mkdir(sub));
+  std::vector<std::string> files;
+  for (int i = 0; i < 3; ++i) {
+    files.push_back(leaf + "/f" + std::to_string(i));
+    ASSERT_TRUE(fs.WriteFile(files.back(), "data:" + files.back()));
+  }
+
+  const int first = handles.pid_group[0];
+  const int second = 1 - first;
+  auto leader_paths = [&](int group) {
+    std::string leader = GroupLeader(cluster, handles.groups[static_cast<size_t>(group)]);
+    EXPECT_FALSE(leader.empty());
+    return ReadStringColumn(cluster, leader, "fqpath", 0);
+  };
+  ASSERT_FALSE(leader_paths(second).count(mid)) << "nothing to scaffold";
+
+  ASSERT_TRUE(RebalancePartitionSync(cluster, handles, /*pid=*/0, second));
+  auto there = leader_paths(second);
+  for (const std::string& dir : {mid, leaf, sub}) {
+    EXPECT_TRUE(there.count(dir)) << dir;
+  }
+  auto left = leader_paths(first);
+  for (const std::string& path : files) {
+    EXPECT_TRUE(there.count(path)) << path;
+    EXPECT_FALSE(left.count(path)) << path;
+  }
+  ExpectRoutedFiles(fs, files);
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs.Ls(leaf, &names));
+  EXPECT_EQ(names, (std::vector<std::string>{"f0", "f1", "f2", PathBasename(sub)}));
+
+  ASSERT_TRUE(RebalancePartitionSync(cluster, handles, /*pid=*/0, first));
+  auto back = leader_paths(first);
+  auto gone = leader_paths(second);
+  for (const std::string& path : files) {
+    EXPECT_TRUE(back.count(path)) << path;
+    EXPECT_FALSE(gone.count(path)) << path;
+  }
+  ExpectRoutedFiles(fs, files);
+  // A plain create on partition 0 replays at its first owner again: the way back
+  // unsealed it there.
+  files.push_back(leaf + "/after");
+  ASSERT_TRUE(fs.WriteFile(files.back(), "data:" + files.back()));
+  ExpectRoutedFiles(fs, files);
+  EXPECT_EQ(*ReadIntColumn(cluster, handles.pmap, "pm_epoch", 1).begin(), 2);
+}
+
+// The source group's leader dies after the seal is decided and before the last snapshot
+// page is answered (two pages here: 70 files); with `quorum_loss`, one follower dies with
+// it and both come back (durably) 5 s later. The migration must either complete, or abort
+// with the source unsealed, the map unchanged and unfrozen; either way every acked file
+// stays readable through a routed client, from one group only. Returns whether the
+// migration completed.
+bool MidSnapshotKillRun(bool quorum_loss) {
+  Cluster cluster(1021);
+  FederatedFsOptions opts;
+  opts.chunk_size = 16;
+  FederatedFsHandles handles = SetupFederatedFs(cluster, opts);
+  cluster.RunUntil(1500);
+  SyncFs fs(cluster, handles.clients[0]);
+
+  std::string dir;
+  for (int d = 0; d < 64 && dir.empty(); ++d) {
+    std::string cand = "/d" + std::to_string(d);
+    if (RoutingPid(cand, handles.num_partitions) == 0) {
+      dir = cand;
+    }
+  }
+  EXPECT_TRUE(fs.Mkdir(dir));
+  std::vector<std::string> files;
+  for (int i = 0; i < 70; ++i) {
+    files.push_back(dir + "/f" + std::to_string(i));
+    if (i % 10 == 0) {
+      EXPECT_TRUE(fs.WriteFile(files.back(), "data:" + files.back()));
+    } else {
+      EXPECT_TRUE(fs.CreateFile(files.back()));
+    }
+  }
+
+  const int source = handles.pid_group[0];
+  const int dest = 1 - source;
+  const std::vector<std::string>& source_group =
+      handles.groups[static_cast<size_t>(source)];
+  auto epoch = [&cluster, &handles] {
+    return *ReadIntColumn(cluster, handles.pmap, "pm_epoch", 1).begin();
+  };
+  const int64_t epoch_before = epoch();
+  bool finished = false;
+  bool ok = false;
+  StartRebalance(cluster, handles, /*pid=*/0, dest, [&finished, &ok](bool r) {
+    finished = true;
+    ok = r;
+  });
+  std::vector<std::string> killed;
+  while (!finished && cluster.now() < 60000) {
+    cluster.RunUntil(cluster.now() + 1);
+    auto steps = ReadStringColumn(cluster, handles.pmap, "mg_op", 1);
+    if (killed.empty() && steps.count("snap")) {
+      killed.push_back(GroupLeader(cluster, source_group));
+      if (quorum_loss) {
+        killed.push_back(source_group[source_group[0] == killed[0] ? 1 : 0]);
+      }
+      for (const std::string& victim : killed) {
+        cluster.KillNode(victim);
+      }
+      if (quorum_loss) {
+        cluster.ScheduleAfter(5000, [&cluster, killed] {
+          for (const std::string& victim : killed) {
+            cluster.RestartNode(victim, /*fresh_state=*/false);
+          }
+        });
+      }
+    }
+  }
+  EXPECT_FALSE(killed.empty()) << "the snapshot step was never reached";
+  EXPECT_TRUE(finished);
+  cluster.RunUntil(cluster.now() + 3000);  // restarted replicas replay the log
+
+  if (ok) {
+    handles.pid_group[0] = dest;
+    EXPECT_GT(epoch(), epoch_before);
+  } else {
+    EXPECT_EQ(epoch(), epoch_before);
+    for (const std::string& replica : source_group) {
+      if (cluster.IsAlive(replica)) {
+        EXPECT_FALSE(ReadIntColumn(cluster, replica, "fed_sealed", 0).count(0))
+            << replica;
+      }
+    }
+  }
+  for (const std::string& replica : handles.AllReplicas()) {
+    if (cluster.IsAlive(replica)) {
+      EXPECT_TRUE(ReadIntColumn(cluster, replica, "fed_frozen", 0).empty()) << replica;
+    }
+  }
+  std::vector<std::set<std::string>> paths;
+  for (const auto& group : handles.groups) {
+    paths.push_back(ReadStringColumn(cluster, GroupLeader(cluster, group), "fqpath", 0));
+  }
+  for (size_t i = 0; i < files.size(); ++i) {
+    EXPECT_TRUE(fs.Exists(files[i])) << files[i];
+    EXPECT_NE(paths[0].count(files[i]), paths[1].count(files[i])) << files[i];
+    if (i % 10 == 0) {
+      std::string data;
+      EXPECT_TRUE(fs.ReadFile(files[i], &data)) << files[i];
+      EXPECT_EQ(data, "data:" + files[i]);
+    }
+  }
+  return ok;
+}
+
+// With the leader alone gone, the follower pair elects a new leader that answers the
+// resent page: the migration completes. Without a quorum for longer than a step's
+// deadline, it aborts; the unseal lands once the group is back.
+TEST(FederatedFsTest, SourceLeaderKilledMidSnapshot) {
+  EXPECT_TRUE(MidSnapshotKillRun(/*quorum_loss=*/false));
+  EXPECT_FALSE(MidSnapshotKillRun(/*quorum_loss=*/true));
 }
 
 // A leader kill inside one group must degrade only that group's tenants: the others keep
